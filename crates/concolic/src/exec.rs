@@ -160,12 +160,16 @@ impl ConcolicResult {
     ) -> Vec<TermId> {
         assert!(upto <= self.path.len(), "prefix exceeds path");
         let mut out = Vec::with_capacity(upto);
+        // θ's variables, resolved on the first patch step and shared by
+        // every later one.
+        let mut theta_vars: Option<Vec<(VarId, String)>> = None;
         for (i, step) in self.path[..upto].iter().enumerate() {
             let mut c = match step.patch_obs {
                 None => step.constraint,
                 Some((obs_idx, polarity)) => {
                     let obs = &self.observations[obs_idx];
-                    let psi = substitute_theta(pool, theta, &obs.subst);
+                    let vars = theta_vars.get_or_insert_with(|| named_vars(pool, theta));
+                    let psi = substitute_theta(pool, theta, vars, &obs.subst);
                     match obs.out_var {
                         // Expression hole: defining equation __hole_k = ψ.
                         Some(out_var) => {
@@ -192,16 +196,27 @@ impl ConcolicResult {
     }
 }
 
-/// Substitutes the program variables of `theta` by their symbolic values at
-/// a hole observation (parameters and unknown names are left symbolic).
-fn substitute_theta(pool: &mut TermPool, theta: TermId, subst: &HashMap<String, TermId>) -> TermId {
-    let mut map: HashMap<VarId, TermId> = HashMap::new();
-    for v in pool.vars_of(theta) {
-        let name = pool.var_name(v).to_owned();
-        if let Some(&sym) = subst.get(&name) {
-            map.insert(v, sym);
-        }
-    }
+/// The variables of `theta` with their names, in `vars_of` order.
+fn named_vars(pool: &TermPool, theta: TermId) -> Vec<(VarId, String)> {
+    pool.vars_of(theta)
+        .into_iter()
+        .map(|v| (v, pool.var_name(v).to_owned()))
+        .collect()
+}
+
+/// Substitutes the program variables of `theta` (its `theta_vars`, see
+/// [`named_vars`]) by their symbolic values at a hole observation
+/// (parameters and unknown names are left symbolic).
+fn substitute_theta(
+    pool: &mut TermPool,
+    theta: TermId,
+    theta_vars: &[(VarId, String)],
+    subst: &HashMap<String, TermId>,
+) -> TermId {
+    let map: HashMap<VarId, TermId> = theta_vars
+        .iter()
+        .filter_map(|(v, name)| subst.get(name).map(|&sym| (*v, sym)))
+        .collect();
     pool.substitute(theta, &map)
 }
 
@@ -257,6 +272,10 @@ struct ExecState<'a> {
     env: HashMap<String, Slot>,
     functions: &'a [FunDecl],
     patch: Option<&'a HolePatch>,
+    /// The patch's θ variables with their names, resolved once per run.
+    theta_vars: Vec<(VarId, String)>,
+    /// Names each open block declared, innermost last (see [`exec_block`]).
+    declared: Vec<String>,
     path: Vec<PathStep>,
     sigma: Option<TermId>,
     hit_patch: bool,
@@ -315,11 +334,14 @@ impl ConcolicExecutor {
             input_model.set(var, c);
             env.insert(decl.name.clone(), Slot::Int { c, s: sym });
         }
+        let theta_vars = patch.map_or_else(Vec::new, |p| named_vars(pool, p.theta));
         let mut st = ExecState {
             pool,
             env,
             functions: &program.functions,
             patch,
+            theta_vars,
+            declared: Vec::new(),
             path: Vec::new(),
             sigma: None,
             hit_patch: false,
@@ -374,6 +396,17 @@ impl<'a> ExecState<'a> {
         }
     }
 
+    /// Binds `name` to `slot`, recording the name as declared by the
+    /// innermost open block when it is new to the environment.
+    fn bind(&mut self, name: &str, slot: Slot) {
+        if let Some(old) = self.env.get_mut(name) {
+            *old = slot;
+        } else {
+            self.env.insert(name.to_owned(), slot);
+            self.declared.push(name.to_owned());
+        }
+    }
+
     fn budget(&mut self) -> Result<(), Outcome> {
         self.steps += 1;
         if self.steps > self.max_steps {
@@ -394,12 +427,16 @@ fn exec_stmts(stmts: &[Stmt], st: &mut ExecState<'_>) -> Result<Flow, Outcome> {
     Ok(Flow::Normal)
 }
 
-/// Executes a block body with block-scoped declarations (matching the
-/// concrete interpreter).
+/// Executes a block body with block-scoped declarations: the names the
+/// block adds to the environment are removed afterwards, while an outer
+/// name the block redeclares or assigns keeps the value the block left.
+/// Costs O(names the block adds), not O(environment).
 fn exec_block(stmts: &[Stmt], st: &mut ExecState<'_>) -> Result<Flow, Outcome> {
-    let before: Vec<String> = st.env.keys().cloned().collect();
+    let mark = st.declared.len();
     let flow = exec_stmts(stmts, st);
-    st.env.retain(|k, _| before.iter().any(|b| b == k));
+    for name in st.declared.drain(mark..) {
+        st.env.remove(&name);
+    }
     flow
 }
 
@@ -429,7 +466,7 @@ fn exec_stmt(stmt: &Stmt, st: &mut ExecState<'_>) -> Result<Flow, Outcome> {
                     Slot::Bool { c: false, s: f }
                 }
             };
-            st.env.insert(name.clone(), slot);
+            st.bind(name, slot);
             Ok(Flow::Normal)
         }
         Stmt::Assign { name, value, .. } => {
@@ -443,7 +480,7 @@ fn exec_stmt(stmt: &Stmt, st: &mut ExecState<'_>) -> Result<Flow, Outcome> {
                     Slot::Int { c: v.c, s: v.s }
                 }
             };
-            st.env.insert(name.clone(), slot);
+            st.bind(name, slot);
             Ok(Flow::Normal)
         }
         Stmt::AssignIndex {
@@ -755,7 +792,9 @@ fn eval(e: &Expr, st: &mut ExecState<'_>) -> Result<Dual, Outcome> {
                 callee_env.insert(p.clone(), Slot::Int { c: v.c, s: v.s });
             }
             let saved = std::mem::replace(&mut st.env, callee_env);
+            let mark = st.declared.len();
             let flow = exec_stmts(&f.body, st);
+            st.declared.truncate(mark);
             st.env = saved;
             match flow? {
                 Flow::Return(v) => Ok(Dual::Int(v)),
@@ -785,37 +824,28 @@ fn eval(e: &Expr, st: &mut ExecState<'_>) -> Result<Dual, Outcome> {
 
             // Symbolic value of θ_ρ0 at this point: program variables
             // replaced by their symbolic values, parameters left free.
+            // Their concrete values drive the concrete evaluation.
             let mut subst: HashMap<VarId, TermId> = HashMap::new();
-            let theta_vars = st.pool.vars_of(patch.theta);
-            for v in theta_vars {
-                let name = st.pool.var_name(v).to_owned();
-                if let Some(&sym) = subst_by_name.get(&name) {
-                    subst.insert(v, sym);
-                }
+            let mut concrete_vars: Vec<(VarId, Value)> = Vec::new();
+            for (v, name) in &st.theta_vars {
+                let (c, s) = match st.env.get(name) {
+                    Some(Slot::Int { c, s }) => (*c, *s),
+                    Some(Slot::Bool { c, s }) => (i64::from(*c), *s),
+                    Some(Slot::Array(_)) | None => continue,
+                };
+                subst.insert(*v, s);
+                concrete_vars.push((*v, Value::Int(c)));
             }
             let psi = st.pool.substitute(patch.theta, &subst);
 
             // Concrete evaluation: parameters from the representative
             // binding, program variables from the concrete environment.
-            let mut model = patch.params.clone();
-            let theta_vars = st.pool.vars_of(patch.theta);
-            for v in theta_vars {
-                if model.get(v).is_none() {
-                    let name = st.pool.var_name(v).to_owned();
-                    if let Some(slot) = st.env.get(&name) {
-                        match slot {
-                            Slot::Int { c, .. } => {
-                                model.set(v, *c);
-                            }
-                            Slot::Bool { c, .. } => {
-                                model.set(v, i64::from(*c));
-                            }
-                            Slot::Array(_) => {}
-                        }
-                    }
-                }
-            }
-            let concrete = model.eval(st.pool, patch.theta);
+            let concrete = patch.params.eval_overlay(st.pool, patch.theta, |v| {
+                concrete_vars
+                    .iter()
+                    .find(|&&(w, _)| w == v)
+                    .map(|&(_, val)| val)
+            });
             match kind {
                 HoleKind::Cond => {
                     let obs_idx = st.observations.len();
@@ -877,6 +907,30 @@ mod tests {
             m.set(var, *v);
         }
         m
+    }
+
+    #[test]
+    fn blocks_drop_their_names_and_keep_redeclared_outer_values() {
+        // Mirrors the interpreter's scoping test: `y` redeclared inside a
+        // block keeps the block's value; `z` and `w` vanish with their
+        // block and are declared afresh outside it.
+        let prog = parse(
+            "program p {
+               input x in [0, 9];
+               var y: int = 1;
+               var i: int = 0;
+               while (i < x) { var z: int = i; y = y + z; i = i + 1; }
+               if (x > 0) { var y: int = 5; var w: int = 2; y = y + w; }
+               var z: int = 7;
+               var w: int = 3;
+               return y * 100 + z * 10 + w;
+             }",
+        )
+        .unwrap();
+        let mut pool = TermPool::new();
+        let inputs = input_model(&mut pool, &[("x", 3)]);
+        let r = ConcolicExecutor::new().execute(&mut pool, &prog, &inputs, None);
+        assert_eq!(r.outcome, Outcome::Returned(773));
     }
 
     #[test]

@@ -31,15 +31,9 @@ pub struct ConcretePatch<'a> {
 impl<'a> ConcretePatch<'a> {
     /// Evaluates the patch under the current program environment.
     fn eval(&self, lookup: impl Fn(&str) -> Option<i64>) -> Value {
-        let mut model = self.binding.clone();
-        for v in self.pool.vars_of(self.expr) {
-            if model.get(v).is_none() {
-                if let Some(val) = lookup(self.pool.var_name(v)) {
-                    model.set(v, val);
-                }
-            }
-        }
-        model.eval(self.pool, self.expr)
+        self.binding.eval_overlay(self.pool, self.expr, |v| {
+            lookup(self.pool.var_name(v)).map(Value::Int)
+        })
     }
 }
 
@@ -157,6 +151,8 @@ enum Flow {
 
 struct RunState<'a> {
     env: HashMap<String, Slot>,
+    /// Names each open block declared, innermost last (see [`exec_block`]).
+    declared: Vec<String>,
     functions: &'a [FunDecl],
     patch: Option<&'a ConcretePatch<'a>>,
     patch_hits: u32,
@@ -187,6 +183,7 @@ impl Interp {
     ) -> RunResult {
         let mut st = RunState {
             env: HashMap::new(),
+            declared: Vec::new(),
             functions: &program.functions,
             patch,
             patch_hits: 0,
@@ -235,6 +232,19 @@ impl Interp {
     }
 }
 
+impl RunState<'_> {
+    /// Binds `name` to `slot`, recording the name as declared by the
+    /// innermost open block when it is new to the environment.
+    fn bind(&mut self, name: &str, slot: Slot) {
+        if let Some(old) = self.env.get_mut(name) {
+            *old = slot;
+        } else {
+            self.env.insert(name.to_owned(), slot);
+            self.declared.push(name.to_owned());
+        }
+    }
+}
+
 fn exec_stmts(stmts: &[Stmt], st: &mut RunState<'_>) -> Result<Flow, Outcome> {
     for s in stmts {
         match exec_stmt(s, st)? {
@@ -245,12 +255,16 @@ fn exec_stmts(stmts: &[Stmt], st: &mut RunState<'_>) -> Result<Flow, Outcome> {
     Ok(Flow::Normal)
 }
 
-/// Executes a block body with block-scoped declarations: names introduced
-/// inside are removed afterwards.
+/// Executes a block body with block-scoped declarations: the names the
+/// block adds to the environment are removed afterwards, while an outer
+/// name the block redeclares or assigns keeps the value the block left.
+/// Costs O(names the block adds), not O(environment).
 fn exec_block(stmts: &[Stmt], st: &mut RunState<'_>) -> Result<Flow, Outcome> {
-    let before: Vec<String> = st.env.keys().cloned().collect();
+    let mark = st.declared.len();
     let flow = exec_stmts(stmts, st);
-    st.env.retain(|k, _| before.iter().any(|b| b == k));
+    for name in st.declared.drain(mark..) {
+        st.env.remove(&name);
+    }
     flow
 }
 
@@ -268,7 +282,7 @@ fn exec_stmt(stmt: &Stmt, st: &mut RunState<'_>) -> Result<Flow, Outcome> {
                 (Type::Bool, Some(e)) => Slot::Bool(eval_bool(e, st)?),
                 (Type::Bool, None) => Slot::Bool(false),
             };
-            st.env.insert(name.clone(), slot);
+            st.bind(name, slot);
             Ok(Flow::Normal)
         }
         Stmt::Assign { name, value, .. } => {
@@ -276,7 +290,7 @@ fn exec_stmt(stmt: &Stmt, st: &mut RunState<'_>) -> Result<Flow, Outcome> {
                 Some(Slot::Bool(_)) => Slot::Bool(eval_bool(value, st)?),
                 _ => Slot::Int(eval_int(value, st)?),
             };
-            st.env.insert(name.clone(), slot);
+            st.bind(name, slot);
             Ok(Flow::Normal)
         }
         Stmt::AssignIndex {
@@ -484,7 +498,9 @@ fn eval(e: &Expr, st: &mut RunState<'_>) -> Result<Value, Outcome> {
                 callee_env.insert(p.clone(), Slot::Int(v));
             }
             let saved = std::mem::replace(&mut st.env, callee_env);
+            let mark = st.declared.len();
             let flow = exec_stmts(&f.body, st);
+            st.declared.truncate(mark);
             st.env = saved;
             match flow? {
                 Flow::Return(v) => Ok(Value::Int(v)),
@@ -497,17 +513,11 @@ fn eval(e: &Expr, st: &mut RunState<'_>) -> Result<Value, Outcome> {
             let Some(patch) = st.patch else {
                 return Err(Outcome::MissingPatch);
             };
-            // Borrow-friendly environment snapshot for the lookup closure.
-            let env: HashMap<String, i64> = st
-                .env
-                .iter()
-                .filter_map(|(k, v)| match v {
-                    Slot::Int(i) => Some((k.clone(), *i)),
-                    Slot::Bool(b) => Some((k.clone(), i64::from(*b))),
-                    Slot::Array(_) => None,
-                })
-                .collect();
-            let value = patch.eval(|name| env.get(name).copied());
+            let value = patch.eval(|name| match st.env.get(name) {
+                Some(Slot::Int(i)) => Some(*i),
+                Some(Slot::Bool(b)) => Some(i64::from(*b)),
+                Some(Slot::Array(_)) | None => None,
+            });
             match (kind, value) {
                 (HoleKind::Cond, Value::Bool(b)) => Ok(Value::Bool(b)),
                 (HoleKind::Cond, Value::Int(v)) => Ok(Value::Bool(v != 0)),
@@ -530,6 +540,30 @@ mod tests {
         check(&prog).unwrap();
         let map: HashMap<String, i64> = inputs.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         Interp::new().run(&prog, &map, None)
+    }
+
+    #[test]
+    fn blocks_drop_their_names_and_keep_redeclared_outer_values() {
+        // `y` is redeclared inside the block: the outer binding keeps the
+        // value the block left. `z` is new in the loop body: it is gone
+        // after every iteration, so each iteration and the outer scope may
+        // declare it afresh.
+        let src = "program p {
+            input x in [0, 9];
+            var y: int = 1;
+            var i: int = 0;
+            while (i < x) { var z: int = i; y = y + z; i = i + 1; }
+            if (x > 0) { var y: int = 5; var w: int = 2; y = y + w; }
+            var z: int = 7;
+            var w: int = 3;
+            return y * 100 + z * 10 + w;
+        }";
+        let prog = parse(src).unwrap();
+        let map: HashMap<String, i64> = [("x".to_string(), 3)].into_iter().collect();
+        assert_eq!(
+            Interp::new().run(&prog, &map, None).outcome,
+            Outcome::Returned(773)
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Precomputed term → variable dependency lists for the solver's hot path.
 //!
-//! [`TermPool::vars_of`] walks the term DAG with two freshly allocated
-//! pool-sized visit bitmaps on *every* call — and the solver calls it per
-//! constraint per query and per search node (branch-variable selection).
+//! [`TermPool::vars_of`] walks the term's cone on *every* call — O(cone),
+//! with a visited set and an output list allocated per call — and the
+//! solver calls it per constraint per query and per search node
+//! (branch-variable selection), where the same constraints recur.
 //! [`DepGraph`] computes the same lists once, bottom-up, and serves them as
 //! slices: a [`DepGraph::sync`] after new terms are interned costs O(new
 //! terms), a lookup costs nothing.
@@ -11,7 +12,7 @@
 //! matters because the solver's variable-box layout and dedup loops follow
 //! first-occurrence order. `vars_of` is a depth-first walk that pushes
 //! children left-to-right onto an explicit stack (so it *visits* them
-//! right-to-left) and skips shared subterms via a global visited set. For a
+//! right-to-left) and skips shared subterms via a per-call visited set. For a
 //! DAG that rule has a bottom-up equivalent: the list of a binary node is
 //! the first-occurrence merge of the right child's list followed by the
 //! left child's, and `Ite(c, a, b)` merges `b`, then `a`, then `c`.
@@ -121,63 +122,7 @@ fn merge(parts: &[&[VarId]]) -> Box<[VarId]> {
 mod tests {
     use super::*;
     use crate::term::Sort;
-
-    /// Tiny xorshift for the property test (`cpr-fuzz` would be a cyclic
-    /// dev-dependency here; the seeded-reproducibility style is the same).
-    struct TestRng(u64);
-
-    impl TestRng {
-        fn new(seed: u64) -> Self {
-            TestRng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
-        }
-
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x
-        }
-
-        fn index(&mut self, n: usize) -> usize {
-            (self.next() % n as u64) as usize
-        }
-    }
-
-    /// Builds a random term over a handful of variables, mixing every
-    /// constructor (including `Ite` and shared subterms via hash-consing).
-    fn random_term(rng: &mut TestRng, pool: &mut TermPool, depth: usize) -> TermId {
-        if depth == 0 || rng.index(4) == 0 {
-            return match rng.index(3) {
-                0 => {
-                    let c = rng.index(11) as i64 - 5;
-                    pool.int(c)
-                }
-                _ => {
-                    let name = ["x", "y", "z", "u", "w"][rng.index(5)];
-                    pool.named_var(name, Sort::Int)
-                }
-            };
-        }
-        let a = random_term(rng, pool, depth - 1);
-        let b = random_term(rng, pool, depth - 1);
-        match rng.index(6) {
-            0 => pool.add(a, b),
-            1 => pool.mul(a, b),
-            2 => pool.sub(a, b),
-            3 => pool.neg(a),
-            4 => {
-                let ca = pool.le(a, b);
-                let cb = pool.ge(a, b);
-                pool.and(ca, cb)
-            }
-            _ => {
-                let c = pool.lt(a, b);
-                pool.ite(c, a, b)
-            }
-        }
-    }
+    use crate::testgen::{random_term, TestRng};
 
     #[test]
     fn dep_graph_matches_vars_of_order_exactly() {

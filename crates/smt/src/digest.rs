@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 
 use crate::interval::Interval;
 use crate::solver::{Domains, SolverConfig};
-use crate::term::{arith_op_tag, cmp_op_tag, Sort, TermData, TermId, TermPool};
+use crate::term::{arith_op_tag, cmp_op_tag, IdMap, Sort, TermData, TermId, TermPool};
 use crate::wire::{fnv1a, ByteWriter};
 
 /// FNV-1a 128-bit offset basis.
@@ -132,23 +132,27 @@ fn combine(pool: &TermPool, data: TermData, child: impl Fn(TermId) -> u128) -> u
 /// hash-consing pool, so one forward pass extends the table to the pool's
 /// current length and a lookup costs an index.
 #[derive(Debug, Default, Clone)]
-pub(crate) struct TermDigests {
+pub struct TermDigests {
     table: Vec<u128>,
 }
 
 impl TermDigests {
     /// Whether `t`'s digest is cached.
-    pub(crate) fn covers(&self, t: TermId) -> bool {
+    pub fn covers(&self, t: TermId) -> bool {
         t.index() < self.table.len()
     }
 
     /// The digest of a covered term.
-    pub(crate) fn get(&self, t: TermId) -> u128 {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not covered; call [`TermDigests::sync`] first.
+    pub fn get(&self, t: TermId) -> u128 {
         self.table[t.index()]
     }
 
     /// Extends the table to cover every term currently in `pool`.
-    pub(crate) fn sync(&mut self, pool: &TermPool) {
+    pub fn sync(&mut self, pool: &TermPool) {
         let n = pool.len();
         if self.table.len() >= n {
             return;
@@ -161,14 +165,54 @@ impl TermDigests {
         }
     }
 
-    /// Digests of `terms` without requiring coverage: uses the synced
-    /// table when it covers everything, and otherwise runs a local
-    /// forward pass (the `&self` entry points — root refutation, conflict
-    /// minimization — cannot sync the shared table).
-    pub(crate) fn of_terms(&self, pool: &TermPool, terms: &[TermId]) -> Vec<u128> {
-        if terms.iter().all(|&t| self.covers(t)) {
-            return terms.iter().map(|&t| self.get(t)).collect();
+    /// Digests of `terms` without requiring coverage (the `&self` entry
+    /// points — root refutation, conflict minimization — cannot sync the
+    /// shared table). Covered terms are read from the table; only the
+    /// uncovered part of each term's cone is digested, post-order, into a
+    /// map local to this call, so the cost is proportional to that part
+    /// and never to the pool.
+    pub fn of_terms(&self, pool: &TermPool, terms: &[TermId]) -> Vec<u128> {
+        let mut local: IdMap<u128> = IdMap::default();
+        let mut stack: Vec<(TermId, bool)> = Vec::new();
+        let mut out = Vec::with_capacity(terms.len());
+        for &root in terms {
+            if self.covers(root) {
+                out.push(self.get(root));
+                continue;
+            }
+            stack.push((root, false));
+            while let Some((t, children_done)) = stack.pop() {
+                if self.covers(t) || local.contains_key(&t) {
+                    continue;
+                }
+                let data = pool.data(t);
+                if children_done {
+                    let d = combine(pool, data, |c| self.lookup(&local, c));
+                    local.insert(t, d);
+                } else {
+                    stack.push((t, true));
+                    data.for_each_child(|c| stack.push((c, false)));
+                }
+            }
+            out.push(self.lookup(&local, root));
         }
+        out
+    }
+
+    /// A digest from the table or, for an uncovered term, from `local`.
+    fn lookup(&self, local: &IdMap<u128>, t: TermId) -> u128 {
+        if self.covers(t) {
+            self.get(t)
+        } else {
+            local[&t]
+        }
+    }
+
+    /// The original uncovered fallback of `of_terms`: a forward pass
+    /// digesting every term from id 0. Kept as the test oracle for the
+    /// cone-sized walk.
+    #[cfg(test)]
+    pub(crate) fn of_terms_forward_pass(pool: &TermPool, terms: &[TermId]) -> Vec<u128> {
         let hi = terms.iter().map(|t| t.index() + 1).max().unwrap_or(0);
         let mut local: Vec<u128> = Vec::with_capacity(hi);
         for i in 0..hi {
@@ -298,6 +342,57 @@ mod tests {
             d.of_terms(pool, ts)
         };
         assert_eq!(names(&pool_a, &sorted_a), names(&pool_b, &sorted_b));
+    }
+
+    #[test]
+    fn of_terms_matches_the_forward_pass_oracle() {
+        use crate::testgen::{random_term, TestRng};
+        for seed in 0..48u64 {
+            let mut rng = TestRng::new(seed);
+            let mut pool = TermPool::new();
+            // A table synced to a prefix of the pool, an uncovered tail
+            // after it, and an empty table that covers nothing.
+            let mut partial = TermDigests::default();
+            for round in 0..6 {
+                if round == 3 {
+                    partial.sync(&pool);
+                }
+                let depth = 1 + rng.index(6);
+                let _ = random_term(&mut rng, &mut pool, depth);
+            }
+            let fresh = pool.named_var("fresh", Sort::Int);
+            let shared = random_term(&mut rng, &mut pool, 3);
+            let _ = pool.mul(fresh, shared);
+            assert!(partial.covers(TermId(0)), "seed {seed}: prefix synced");
+            let all: Vec<TermId> = (0..pool.len()).map(|i| TermId(i as u32)).collect();
+            let oracle = TermDigests::of_terms_forward_pass(&pool, &all);
+            for digests in [&partial, &TermDigests::default()] {
+                assert_eq!(digests.of_terms(&pool, &all), oracle, "seed {seed}: batch");
+                for (&t, &want) in all.iter().zip(&oracle) {
+                    assert_eq!(digests.of_terms(&pool, &[t]), [want], "seed {seed} {t:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn of_terms_matches_the_oracle_for_small_terms_in_large_pools() {
+        use crate::testgen::{random_term, TestRng};
+        let mut rng = TestRng::new(11);
+        let mut pool = TermPool::new();
+        let early = random_term(&mut rng, &mut pool, 3);
+        while pool.len() < 20_000 {
+            let _ = random_term(&mut rng, &mut pool, 7);
+        }
+        let mut synced = TermDigests::default();
+        synced.sync(&pool);
+        let a = pool.named_var("late_a", Sort::Int);
+        let b = pool.int(-99_999);
+        let late = pool.sub(b, a);
+        let oracle = TermDigests::of_terms_forward_pass(&pool, &[early, late]);
+        for digests in [&synced, &TermDigests::default()] {
+            assert_eq!(digests.of_terms(&pool, &[early, late]), oracle);
+        }
     }
 
     #[test]

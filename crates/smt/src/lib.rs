@@ -61,11 +61,14 @@ mod region;
 mod simplify;
 mod solver;
 mod term;
+#[cfg(test)]
+mod testgen;
 mod trail;
 pub mod wire;
 pub mod zone;
 
 pub use deps::DepGraph;
+pub use digest::TermDigests;
 pub use fleet::{fsync_dir, FleetCache, FleetError, FleetKey, FleetVerdict, FlushStats};
 pub use interval::Interval;
 pub use model::{Model, Value};

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::term::{ArithOp, TermData, TermId, TermPool, VarId};
+use crate::term::{TermData, TermId, TermPool, VarId};
 
 /// A concrete value of either sort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,33 +121,21 @@ impl Model {
     /// default to `0`, missing booleans to `false`, and division by zero
     /// yields `0` (matching the pool's constant folding).
     pub fn eval(&self, pool: &TermPool, t: TermId) -> Value {
-        match pool.data(t) {
-            TermData::BoolConst(b) => Value::Bool(b),
-            TermData::IntConst(v) => Value::Int(v),
-            TermData::Var(v) => self.get(v).unwrap_or(match pool.var_sort(v) {
-                crate::Sort::Bool => Value::Bool(false),
-                crate::Sort::Int => Value::Int(0),
-            }),
-            TermData::Not(a) => Value::Bool(!self.eval_bool(pool, a)),
-            TermData::And(a, b) => Value::Bool(self.eval_bool(pool, a) && self.eval_bool(pool, b)),
-            TermData::Or(a, b) => Value::Bool(self.eval_bool(pool, a) || self.eval_bool(pool, b)),
-            TermData::Cmp(op, a, b) => {
-                Value::Bool(op.apply(self.eval_int(pool, a), self.eval_int(pool, b)))
-            }
-            TermData::Arith(op, a, b) => Value::Int(self.eval_arith(pool, op, a, b)),
-            TermData::Neg(a) => Value::Int(self.eval_int(pool, a).saturating_neg()),
-            TermData::Ite(c, a, b) => {
-                if self.eval_bool(pool, c) {
-                    self.eval(pool, a)
-                } else {
-                    self.eval(pool, b)
-                }
-            }
-        }
+        eval_term(pool, t, &|v| self.get(v))
     }
 
-    fn eval_arith(&self, pool: &TermPool, op: ArithOp, a: TermId, b: TermId) -> i64 {
-        op.apply(self.eval_int(pool, a), self.eval_int(pool, b))
+    /// Evaluates a term under this model overlaid on `fallback`: a
+    /// variable this model does not assign takes `fallback`'s value, and
+    /// defaults as in [`Model::eval`] when neither assigns it. Equivalent
+    /// to evaluating a copy of this model extended with `fallback`'s
+    /// values for the term's unassigned variables, without the copy.
+    pub fn eval_overlay(
+        &self,
+        pool: &TermPool,
+        t: TermId,
+        fallback: impl Fn(VarId) -> Option<Value>,
+    ) -> Value {
+        eval_term(pool, t, &|v| self.get(v).or_else(|| fallback(v)))
     }
 
     /// Evaluates a boolean term; ill-sorted terms evaluate to `false`.
@@ -172,6 +160,34 @@ impl Model {
             parts.push(format!("{}={}", pool.var_name(v), val));
         }
         parts.join(", ")
+    }
+}
+
+/// Total evaluation of `t` with variable values from `lookup` (see
+/// [`Model::eval`] for the defaults).
+fn eval_term(pool: &TermPool, t: TermId, lookup: &impl Fn(VarId) -> Option<Value>) -> Value {
+    let as_bool = |t| eval_term(pool, t, lookup).as_bool().unwrap_or(false);
+    let as_int = |t| eval_term(pool, t, lookup).as_int().unwrap_or(0);
+    match pool.data(t) {
+        TermData::BoolConst(b) => Value::Bool(b),
+        TermData::IntConst(v) => Value::Int(v),
+        TermData::Var(v) => lookup(v).unwrap_or(match pool.var_sort(v) {
+            crate::Sort::Bool => Value::Bool(false),
+            crate::Sort::Int => Value::Int(0),
+        }),
+        TermData::Not(a) => Value::Bool(!as_bool(a)),
+        TermData::And(a, b) => Value::Bool(as_bool(a) && as_bool(b)),
+        TermData::Or(a, b) => Value::Bool(as_bool(a) || as_bool(b)),
+        TermData::Cmp(op, a, b) => Value::Bool(op.apply(as_int(a), as_int(b))),
+        TermData::Arith(op, a, b) => Value::Int(op.apply(as_int(a), as_int(b))),
+        TermData::Neg(a) => Value::Int(as_int(a).saturating_neg()),
+        TermData::Ite(c, a, b) => {
+            if as_bool(c) {
+                eval_term(pool, a, lookup)
+            } else {
+                eval_term(pool, b, lookup)
+            }
+        }
     }
 }
 

@@ -1,7 +1,8 @@
 //! Hash-consed term language: sorts, variables, terms and the [`TermPool`].
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The sort (type) of a term or variable: boolean or bounded integer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -200,11 +201,65 @@ pub enum TermData {
     Ite(TermId, TermId, TermId),
 }
 
+impl TermData {
+    /// Calls `f` on each child, left to right (`Ite`: condition first).
+    pub(crate) fn for_each_child(self, mut f: impl FnMut(TermId)) {
+        match self {
+            TermData::BoolConst(_) | TermData::IntConst(_) | TermData::Var(_) => {}
+            TermData::Not(a) | TermData::Neg(a) => f(a),
+            TermData::And(a, b)
+            | TermData::Or(a, b)
+            | TermData::Cmp(_, a, b)
+            | TermData::Arith(_, a, b) => {
+                f(a);
+                f(b);
+            }
+            TermData::Ite(c, a, b) => {
+                f(c);
+                f(a);
+                f(b);
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct VarInfo {
     name: String,
     sort: Sort,
 }
+
+/// Multiplicative hasher for `TermId`s: ids are small dense integers, so
+/// one multiply spreads them well enough for the per-call sets and maps
+/// that cone walks keep.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.write_u64(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A set of term ids sized to what is inserted, never to the pool.
+pub(crate) type IdSet = HashSet<TermId, BuildHasherDefault<IdHasher>>;
+
+/// A map from term ids sized to what is inserted, never to the pool.
+pub(crate) type IdMap<V> = HashMap<TermId, V, BuildHasherDefault<IdHasher>>;
 
 /// Arena of hash-consed terms and interned variables.
 ///
@@ -504,7 +559,46 @@ impl TermPool {
 
     /// Collects the set of variables occurring in `t` (deduplicated, in
     /// first-occurrence order).
+    ///
+    /// The walk is depth-first over an explicit stack that receives a
+    /// node's children left to right (so they are *visited* right to
+    /// left) and skips shared subterms it has already visited. Its cost
+    /// and its allocations are proportional to `t`'s cone, never to the
+    /// pool. Hash-consing keeps exactly one `Var` term per variable, so
+    /// the visited-term set alone deduplicates the output.
     pub fn vars_of(&self, t: TermId) -> Vec<VarId> {
+        let mut out = Vec::new();
+        self.walk_cone(t, |data| {
+            if let TermData::Var(v) = data {
+                out.push(v);
+            }
+            true
+        });
+        out
+    }
+
+    /// Visits each node of `t`'s cone once, in `vars_of` order, until
+    /// `visit` returns `false`. Costs O(cone), with a visited set sized to
+    /// the nodes visited.
+    fn walk_cone(&self, t: TermId, mut visit: impl FnMut(TermData) -> bool) {
+        let mut seen = IdSet::default();
+        let mut stack = vec![t];
+        while let Some(t) = stack.pop() {
+            if !seen.insert(t) {
+                continue;
+            }
+            let data = self.data(t);
+            if !visit(data) {
+                return;
+            }
+            data.for_each_child(|c| stack.push(c));
+        }
+    }
+
+    /// The original `vars_of`: the same walk over two visit bitmaps sized
+    /// to the pool. Kept as the test oracle for the cone-sized walk.
+    #[cfg(test)]
+    pub(crate) fn vars_of_bitmap(&self, t: TermId) -> Vec<VarId> {
         let mut seen_terms = vec![false; self.terms.len()];
         let mut seen_vars = vec![false; self.vars.len()];
         let mut out = Vec::new();
@@ -540,15 +634,21 @@ impl TermPool {
         out
     }
 
-    /// Returns `true` if variable `v` occurs in term `t`.
+    /// Returns `true` if variable `v` occurs in term `t`. Walks `t`'s cone
+    /// and stops at the first occurrence.
     pub fn contains_var(&self, t: TermId, v: VarId) -> bool {
-        self.vars_of(t).contains(&v)
+        let mut found = false;
+        self.walk_cone(t, |data| {
+            found = data == TermData::Var(v);
+            !found
+        });
+        found
     }
 
     /// Substitutes variables by terms throughout `t` (capture is not a
     /// concern: the language has no binders).
     pub fn substitute(&mut self, t: TermId, map: &HashMap<VarId, TermId>) -> TermId {
-        let mut memo: HashMap<TermId, TermId> = HashMap::new();
+        let mut memo = IdMap::default();
         self.substitute_memo(t, map, &mut memo)
     }
 
@@ -556,7 +656,7 @@ impl TermPool {
         &mut self,
         t: TermId,
         map: &HashMap<VarId, TermId>,
-        memo: &mut HashMap<TermId, TermId>,
+        memo: &mut IdMap<TermId>,
     ) -> TermId {
         if let Some(&r) = memo.get(&t) {
             return r;
@@ -1004,6 +1104,56 @@ mod tests {
         assert_eq!(vars.len(), 2);
         assert!(vars.contains(&xv) && vars.contains(&yv));
         assert!(p.contains_var(f, xv));
+    }
+
+    /// Every variable's first occurrence in `vars_of` order, and whether
+    /// `contains_var` agrees with membership, for every variable of `pool`.
+    fn assert_matches_oracle(pool: &TermPool, t: TermId, what: &str) {
+        let vars = pool.vars_of(t);
+        assert_eq!(vars, pool.vars_of_bitmap(t), "{what}: order diverged");
+        for i in 0..pool.var_count() {
+            let v = VarId(i as u32);
+            assert_eq!(
+                pool.contains_var(t, v),
+                vars.contains(&v),
+                "{what}: contains_var({}) disagrees",
+                pool.var_name(v)
+            );
+        }
+    }
+
+    #[test]
+    fn vars_of_matches_the_bitmap_oracle_on_random_dags() {
+        use crate::testgen::{random_term, TestRng};
+        for seed in 0..64u64 {
+            let mut rng = TestRng::new(seed);
+            let mut pool = TermPool::new();
+            for _ in 0..6 {
+                let depth = 1 + rng.index(6);
+                let _ = random_term(&mut rng, &mut pool, depth);
+            }
+            for i in 0..pool.len() {
+                assert_matches_oracle(&pool, TermId(i as u32), &format!("seed {seed} term {i}"));
+            }
+        }
+    }
+
+    #[test]
+    fn vars_of_matches_the_oracle_for_small_terms_in_large_pools() {
+        use crate::testgen::{random_term, TestRng};
+        let mut rng = TestRng::new(7);
+        let mut pool = TermPool::new();
+        let early: Vec<TermId> = (0..8)
+            .map(|_| random_term(&mut rng, &mut pool, 2))
+            .collect();
+        while pool.len() < 20_000 {
+            let _ = random_term(&mut rng, &mut pool, 7);
+        }
+        let (a, b) = (pool.named_var("late_a", Sort::Int), pool.int(-99_999));
+        let late = pool.sub(b, a);
+        for t in early.into_iter().chain([late]) {
+            assert_matches_oracle(&pool, t, &pool.display(t));
+        }
     }
 
     #[test]

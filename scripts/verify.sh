@@ -29,6 +29,15 @@ cargo build --release
 echo "==> tier-1: tests"
 cargo test -q
 
+echo "==> end-to-end golden identity: one bench_e2e pass each of paper_serial and explore_deep"
+# Each pass checks every subject's report against bench_e2e/golden/ and
+# exits non-zero on any mismatch or panic; the timings it prints are not
+# gated here.
+for workload in paper_serial explore_deep; do
+  cargo run --release --offline --manifest-path bench_e2e/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 0
+done
+
 echo "==> static lint of shipped subjects (cpr-lint, zero diagnostics expected)"
 cargo run --release -q -p cpr-analysis --bin cpr-lint programs/*.cpr
 
