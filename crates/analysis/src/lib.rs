@@ -1,36 +1,26 @@
 //! Static analyses for the CPR reproduction: everything that can be decided
-//! about a subject program or a patch candidate *without* running the
-//! concolic executor or the constraint solver.
+//! about a subject program *without* running the concolic executor or the
+//! constraint solver.
 //!
-//! The crate has two customers:
-//!
-//! * **`cpr-lint`** (the [`lint`] pass over [`cfg`], [`dataflow`], and
-//!   [`absint`]) — authoring-time diagnostics for `.cpr` subjects:
-//!   undefined/dead variables, unreachable statements and bug locations,
-//!   type mismatches, constant conditions. Shipped subjects must lint
-//!   clean; CI enforces it.
-//! * **`cpr-core`** (the [`screen`] module) — patch-space screening inside
-//!   the repair loop. Screens are *under-approximations of solver
-//!   refutation*: they only ever refute queries/candidates the solver (or
-//!   validation) would itself refute, so switching them on cannot change a
-//!   `RepairReport`, only skip solver work. The interval domain is shared
-//!   with the solver ([`cpr_smt::Interval`]), so the abstract transfer
-//!   functions here and the solver's contractors agree by construction.
+//! The crate has one customer, **`cpr-lint`**: the [`lint`] pass over
+//! [`cfg`], [`dataflow`], [`absint`] and [`zones`] gives authoring-time
+//! diagnostics for `.cpr` subjects (undefined/dead variables, unreachable
+//! statements and bug locations, type mismatches, constant conditions,
+//! possible division by zero or out-of-bounds indexing). Shipped subjects
+//! must lint clean; CI enforces it. The interval domain is shared with the
+//! solver ([`cpr_smt::Interval`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod absint;
-pub mod certify;
 pub mod cfg;
 pub mod dataflow;
 pub mod lint;
-pub mod screen;
 pub mod zones;
 
 pub use absint::{analyze, AbsBool, AbsState, AbsSummary, AbsVal};
 pub use cfg::{Cfg, CfgNode, NodeId, NodeKind};
 pub use dataflow::{dead_variables, liveness, Liveness};
 pub use lint::{lint_program, lint_source, Diagnostic};
-pub use screen::{alpha_equivalent, screened_unsat, statically_unsat, ScreenDomain};
 pub use zones::{analyze_zones, LoopHeadStats, Zone, ZoneSummary};

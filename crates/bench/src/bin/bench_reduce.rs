@@ -1,7 +1,6 @@
 //! Reduce-phase benchmark: serial vs parallel `reduce` (Algorithm 2) with
 //! and without the memoizing solver cache and the incremental-solving
-//! subsystem (assertion frames + no-good learning + batched candidate
-//! checking), on a pool of 500+ abstract patches walked over repeated
+//! subsystem (assertion frames + batched candidate checking), on a pool of 500+ abstract patches walked over repeated
 //! partitions — the access pattern of the repair loop, where later
 //! iterations revisit paths whose queries the cache already answered.
 //!
@@ -149,7 +148,6 @@ struct Outcome {
     cache_misses: u64,
     frames_pushed: u64,
     trail_restores: u64,
-    nogood_hits: u64,
     batched_queries: u64,
     solve_mean_nanos: u64,
     solve_p50_nanos: u64,
@@ -197,11 +195,10 @@ fn run_config(
     config.threads = threads;
     config.solver.cache_capacity = cache_capacity;
     // The baseline configurations disable the whole incremental subsystem
-    // (frames, no-goods, batching) so their timings measure the historical
+    // (frames, batching) so their timings measure the historical
     // per-query-from-scratch code path honestly.
     config.solver.incremental = incremental;
     config.solver.batch_candidates = incremental;
-    config.solver.nogood_capacity = if incremental { 512 } else { 0 };
     // Bound the per-query search: the nonlinear spec makes single queries
     // arbitrarily hard for branch-and-prune, and a budget-capped verdict
     // (`Unknown`) is still deterministic and cacheable.
@@ -258,7 +255,7 @@ fn run_config(
     }
     eprintln!(
         "[bench_reduce] {label}: pool {pool_size} -> {}, {} reduce calls, {:.0} ms, \
-         {} queries, {} hits / {} misses, {} frames, {} nogood hits, \
+         {} queries, {} hits / {} misses, {} frames, \
          mean solve {:.1} us",
         entries.len(),
         stats.len(),
@@ -267,7 +264,6 @@ fn run_config(
         solver_stats.cache_hits,
         solver_stats.cache_misses,
         solver_stats.frames_pushed,
-        solver_stats.nogood_hits,
         solve_mean_nanos as f64 / 1e3
     );
     Outcome {
@@ -283,7 +279,6 @@ fn run_config(
         cache_misses: solver_stats.cache_misses,
         frames_pushed: solver_stats.frames_pushed,
         trail_restores: solver_stats.trail_restores,
-        nogood_hits: solver_stats.nogood_hits,
         batched_queries: solver_stats.batched_queries,
         solve_mean_nanos,
         solve_p50_nanos,
@@ -399,7 +394,7 @@ fn main() {
             "    {{\"label\": \"{}\", \"threads\": {}, \"cache_capacity\": {}, \
              \"incremental\": {}, \"millis\": {:.1}, \"solver_queries\": {}, \
              \"cache_hits\": {}, \"cache_misses\": {}, \"frames_pushed\": {}, \
-             \"trail_restores\": {}, \"nogood_hits\": {}, \"batched_queries\": {}, \
+             \"trail_restores\": {}, \"batched_queries\": {}, \
              \"solve_mean_nanos\": {}, \"solve_p50_nanos\": {}, \
              \"solve_p90_nanos\": {}, \"solve_p99_nanos\": {}}}{comma}",
             o.label,
@@ -412,7 +407,6 @@ fn main() {
             o.cache_misses,
             o.frames_pushed,
             o.trail_restores,
-            o.nogood_hits,
             o.batched_queries,
             o.solve_mean_nanos,
             o.solve_p50_nanos,

@@ -15,9 +15,8 @@
 //! stays meaningful), the patch pool entries with their parameter-
 //! constraint regions and ranking evidence, the input queue in internal
 //! heap order (preserving the pop order of tied candidates), both
-//! seen-prefix sets, the UNSAT-prefix store in FIFO order, the anytime
-//! history, coverage partitions, all counters, and the accumulated solver
-//! statistics.
+//! seen-prefix sets, the anytime history, coverage partitions, all
+//! counters, and the accumulated solver statistics.
 //!
 //! # What a snapshot deliberately omits
 //!
@@ -55,14 +54,18 @@ pub const SNAPSHOT_MAGIC: &[u8; 4] = b"CPRS";
 /// the incremental-solving counters (frames, trail restores, no-goods,
 /// batched queries), to 3 when it gained the fleet-cache counters (hits,
 /// misses, no-good hits, stores, load errors) — each change altered the
-/// embedded stats codec shape — and to 4 when the payload gained the
-/// injected-inputs log ([`RepairDriver::inject_input`]).
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// embedded stats codec shape — to 4 when the payload gained the
+/// injected-inputs log ([`RepairDriver::inject_input`]), and to 5 when the
+/// UNSAT-prefix store, the static query screen and no-good learning were
+/// removed: the payload lost the prefix store, the screened-query count
+/// and the three solver counters of those layers.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Oldest snapshot format version [`RepairDriver::resume`] still loads.
 /// Version 3 predates the injected-inputs log; such snapshots load with an
-/// empty injection log (there was nothing to inject back then) and
-/// re-encode as the current version.
+/// empty injection log (there was nothing to inject back then). Versions 3
+/// and 4 carry the sections of the removed layers, which are decoded and
+/// discarded. Either re-encodes as the current version.
 pub const MIN_SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be loaded. Loading never panics: every
@@ -173,7 +176,6 @@ pub struct RepairDriver {
     generated_runs: usize,
     generated_patch_hits: usize,
     generated_bug_hits: usize,
-    queries_screened: u64,
     /// Nanoseconds spent inside the exploration loop (budget clock).
     explore_nanos: u64,
     /// Nanoseconds spent in the driver overall (reported wall clock).
@@ -264,7 +266,6 @@ impl RepairDriver {
             generated_runs: 0,
             generated_patch_hits: 0,
             generated_bug_hits: 0,
-            queries_screened: 0,
             explore_nanos: 0,
             elapsed_nanos: t0.elapsed().as_nanos() as u64,
             stop: None,
@@ -437,8 +438,6 @@ impl RepairDriver {
             obs.patches_refined.add(rstats.refined as u64);
             obs.patches_dropped.add(rstats.removed as u64);
             obs.evidence_feasible.add(rstats.feasible as u64);
-            obs.queries_screened.add(rstats.screened);
-            self.queries_screened += rstats.screened;
         }
         obs.pool_patches.set(self.entries.len() as i64);
         self.history.push(pool_volume(&self.entries));
@@ -447,9 +446,9 @@ impl RepairDriver {
         }
 
         // Expansion: generational search with path reduction, fanned out
-        // over the worker pool with incremental prefix solving (see
-        // [`crate::expand`]). Candidates arrive in the serial flip order,
-        // so the input queue evolves bit-identically at any thread count.
+        // over the worker pool (see [`crate::expand`]). Candidates arrive
+        // in the serial flip order, so the input queue evolves
+        // bit-identically at any thread count.
         let expansion = {
             let _sp = cpr_obs::span!(obs.registry, "expand.phase");
             let timer = obs.expand_nanos.start();
@@ -468,12 +467,10 @@ impl RepairDriver {
         obs.expand_candidates.add(expansion.stats.candidates as u64);
         obs.model_reuse_hits.add(expansion.stats.model_reuse_hits);
         obs.paths_skipped.add(expansion.paths_skipped as u64);
-        obs.queries_screened.add(expansion.stats.static_refutations);
         for candidate in expansion.candidates {
             self.queue.push(candidate);
         }
         self.paths_skipped += expansion.paths_skipped;
-        self.queries_screened += expansion.stats.static_refutations;
         StepStatus::Running
     }
 
@@ -609,7 +606,7 @@ impl RepairDriver {
             },
             wall_millis: self.elapsed_nanos / 1_000_000,
             solver_queries: self.sess.solver.stats().queries,
-            queries_screened: self.queries_screened,
+            queries_screened: 0,
         }
     }
 
@@ -624,7 +621,6 @@ impl RepairDriver {
         let mut p = ByteWriter::new();
         self.sess.pool.write_wire(&mut p);
         wire::write_solver_stats(&mut p, &self.sess.solver.stats());
-        wire::write_unsat_prefix_store(&mut p, &self.sess.unsat_prefixes);
 
         p.usize(self.entries.len());
         for e in &self.entries {
@@ -686,7 +682,6 @@ impl RepairDriver {
         p.usize(self.generated_runs);
         p.usize(self.generated_patch_hits);
         p.usize(self.generated_bug_hits);
-        p.u64(self.queries_screened);
         p.u64(self.explore_nanos);
         p.u64(self.elapsed_nanos);
         p.u8(match self.stop {
@@ -745,8 +740,14 @@ impl RepairDriver {
         let pool = TermPool::read_wire(&mut p)?;
         let terms = pool.len();
         let vars = pool.var_count();
-        let stats = wire::read_solver_stats(&mut p)?;
-        let unsat_prefixes = wire::read_unsat_prefix_store(&mut p, terms)?;
+        // Formats 3 and 4 carry the sections of the removed query layers
+        // (three solver counters, the UNSAT-prefix store, the
+        // screened-query count); they are decoded and discarded.
+        let legacy = version < 5;
+        let stats = wire::read_solver_stats(&mut p, legacy)?;
+        if legacy {
+            wire::skip_legacy_prefix_store(&mut p, terms)?;
+        }
 
         // Sequence counts feeding `Vec::with_capacity` are read through
         // `seq_len` with each element's minimum encoded size, so a corrupt
@@ -836,7 +837,9 @@ impl RepairDriver {
         let generated_runs = p.len("generated runs")?;
         let generated_patch_hits = p.len("generated patch hits")?;
         let generated_bug_hits = p.len("generated bug hits")?;
-        let queries_screened = p.u64("queries screened")?;
+        if legacy {
+            p.u64("queries screened")?;
+        }
         let explore_nanos = p.u64("explore nanos")?;
         let elapsed_nanos = p.u64("elapsed nanos")?;
         let stop = match p.u8("stop reason")? {
@@ -882,7 +885,6 @@ impl RepairDriver {
         }
         sess.pool = pool;
         sess.solver.restore_stats(stats);
-        sess.unsat_prefixes = unsat_prefixes;
 
         Ok(RepairDriver {
             problem,
@@ -903,7 +905,6 @@ impl RepairDriver {
             generated_runs,
             generated_patch_hits,
             generated_bug_hits,
-            queries_screened,
             explore_nanos,
             elapsed_nanos,
             stop,
@@ -1120,28 +1121,38 @@ mod tests {
         // FNV-1a is a checksum, not a MAC: anyone who can write the file
         // can make a corrupt payload checksum-valid. A snapshot declaring
         // an absurd collection count must fail as a typed error before the
-        // decoder allocates for the declared count.
-        let mut p = ByteWriter::new();
-        p.u64(0); // term pool: no variables
-        p.u64(0); // term pool: no terms
-        for _ in 0..17 {
-            p.u64(0); // solver stats
+        // decoder allocates for the declared count. In the current format
+        // the first count after the solver stats is the pool-entry count;
+        // in legacy format 4 it is the (discarded) UNSAT-prefix store's.
+        for version in [SNAPSHOT_VERSION, 4] {
+            let legacy = version < 5;
+            let mut p = ByteWriter::new();
+            p.u64(0); // term pool: no variables
+            p.u64(0); // term pool: no terms
+            for _ in 0..if legacy { 17 } else { 14 } {
+                p.u64(0); // solver stats
+            }
+            if legacy {
+                p.u64(0); // unsat store capacity
+            }
+            p.u64(u64::MAX / 2); // absurd count
+            let payload = p.into_bytes();
+            let mut w = ByteWriter::new();
+            w.raw(SNAPSHOT_MAGIC);
+            w.u32(version);
+            w.u64(subject_digest(&problem()));
+            w.u64(payload.len() as u64);
+            let checksum = wire::fnv1a(&payload);
+            w.raw(&payload);
+            w.u64(checksum);
+            assert!(
+                matches!(
+                    RepairDriver::resume(problem(), config(), &w.into_bytes()),
+                    Err(SnapshotError::Corrupt(WireError::BadLength { .. }))
+                ),
+                "format {version}"
+            );
         }
-        p.u64(0); // unsat store capacity
-        p.u64(u64::MAX / 2); // unsat store entries: absurd
-        let payload = p.into_bytes();
-        let mut w = ByteWriter::new();
-        w.raw(SNAPSHOT_MAGIC);
-        w.u32(SNAPSHOT_VERSION);
-        w.u64(subject_digest(&problem()));
-        w.u64(payload.len() as u64);
-        let checksum = wire::fnv1a(&payload);
-        w.raw(&payload);
-        w.u64(checksum);
-        assert!(matches!(
-            RepairDriver::resume(problem(), config(), &w.into_bytes()),
-            Err(SnapshotError::Corrupt(WireError::BadLength { .. }))
-        ));
     }
 
     #[test]
@@ -1253,9 +1264,13 @@ mod tests {
     }
 
     /// Rebuilds a current-version snapshot with no injections as the
-    /// version-3 wire image: the injection log (a trailing empty count)
-    /// did not exist, so stripping it and re-stamping version + length +
-    /// checksum reproduces the old format byte-for-byte.
+    /// version-3 wire image. Format 3 had no injection log (a trailing
+    /// empty count here) and carried the sections of the removed query
+    /// layers: three more solver counters (at positions 7, 10 and 14 of
+    /// 17), the UNSAT-prefix store after the stats (written here empty,
+    /// capacity 512) and the screened-query count after
+    /// `generated_bug_hits`. Their values are discarded on resume, so
+    /// zeros reproduce an old snapshot of the same run.
     fn downgrade_to_v3(snap: &[u8]) -> Vec<u8> {
         let plen = u64::from_le_bytes(snap[16..24].try_into().unwrap()) as usize;
         let payload = &snap[24..24 + plen];
@@ -1264,14 +1279,34 @@ mod tests {
             &0u64.to_le_bytes(),
             "fixture requires an empty injection log"
         );
-        let stripped = &payload[..plen - 8];
+        let mut r = ByteReader::new(payload);
+        TermPool::read_wire(&mut r).unwrap();
+        let stats_at = plen - r.remaining();
+        let stats_end = stats_at + 14 * 8;
+        // From the end: injection log, stop reason, elapsed and explore
+        // nanos.
+        let screened_at = plen - 8 - 1 - 8 - 8;
+        let mut p = ByteWriter::new();
+        p.raw(&payload[..stats_at]);
+        for (i, counter) in payload[stats_at..stats_end].chunks(8).enumerate() {
+            if matches!(i, 7 | 9 | 12) {
+                p.u64(0);
+            }
+            p.raw(counter);
+        }
+        p.usize(512);
+        p.usize(0);
+        p.raw(&payload[stats_end..screened_at]);
+        p.u64(0);
+        p.raw(&payload[screened_at..plen - 8]);
+        let stripped = p.into_bytes();
         let mut w = ByteWriter::new();
         w.raw(SNAPSHOT_MAGIC);
         w.u32(3);
         w.raw(&snap[8..16]); // subject digest, verbatim
         w.u64(stripped.len() as u64);
-        let checksum = wire::fnv1a(stripped);
-        w.raw(stripped);
+        let checksum = wire::fnv1a(&stripped);
+        w.raw(&stripped);
         w.u64(checksum);
         w.into_bytes()
     }

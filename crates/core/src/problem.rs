@@ -208,23 +208,6 @@ pub struct RepairConfig {
     /// to the machine's available parallelism. Any value produces
     /// bit-identical results — only wall-clock changes.
     pub threads: usize,
-    /// Capacity of the UNSAT-prefix store used for incremental prefix
-    /// solving during expansion: once a path prefix is proven UNSAT, every
-    /// extension of it is refuted by a subset check instead of a solver
-    /// search. `0` disables the store.
-    pub unsat_prefix_capacity: usize,
-    /// Which abstract domain the `cpr-analysis` static screening layer
-    /// runs in front of the solver: refute reduce/expand queries by
-    /// root-level contraction (intervals, or the relational zone domain),
-    /// and reject concrete candidates alpha-equivalent to the buggy
-    /// expression before validation spends refinement queries on them.
-    /// Every screened refutation is replayed through an independent
-    /// certificate checker before it is trusted, so screening is an
-    /// under-approximation of solver refutation and the final
-    /// [`crate::RepairReport`] is bit-identical across all three domains
-    /// (modulo query counts); narrowing the domain is only useful to
-    /// measure its effect.
-    pub screen_domain: cpr_analysis::ScreenDomain,
     /// Record metrics and spans on the process-wide [`cpr_obs::global`]
     /// registry. Instrumentation is write-only — nothing recorded ever
     /// feeds back into repair decisions — so the final
@@ -255,8 +238,6 @@ impl Default for RepairConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            unsat_prefix_capacity: 512,
-            screen_domain: cpr_analysis::ScreenDomain::Zones,
             metrics: true,
         }
     }

@@ -52,10 +52,6 @@ pub struct ReduceStats {
     pub feasible: usize,
     /// Solver calls spent.
     pub solver_calls: u64,
-    /// Queries answered by the static screening layer
-    /// ([`cpr_analysis::statically_unsat`]) instead of a solver search.
-    /// Counted on top of `solver_calls`, which only counts issued queries.
-    pub screened: u64,
 }
 
 /// Per-entry result of the parallel pool walk. Deliberately free of
@@ -66,7 +62,6 @@ struct EntryOutcome {
     refined_shrunk: bool,
     new_patch: Option<AbstractPatch>,
     deletion: bool,
-    screened: u64,
 }
 
 /// Algorithm 2: reduces the patch pool against one explored partition.
@@ -161,7 +156,6 @@ pub fn reduce(
     }
     for (entry, outcome) in entries.iter_mut().zip(outcomes) {
         let outcome = outcome.expect("every entry is processed exactly once");
-        stats.screened += outcome.screened;
         if !outcome.feasible {
             // Unsat/Unknown π: cannot reason about ρ here; ranking unchanged.
             continue;
@@ -193,52 +187,28 @@ pub fn reduce(
     stats
 }
 
-/// A solver check behind the static screening layer. With
-/// [`RepairConfig::screen_domain`] not `Off`, a query refuted by the
-/// certified root-level contraction (intervals or zones) is answered
-/// `Unsat` without a search — and without
-/// touching the solver's cache or statistics. The screen is an
-/// under-approximation of [`Solver::check`], so the verdict (and everything
-/// downstream of it) is identical either way; only the issued-query count
-/// and `screened` differ.
-///
-/// The query is `prefix ++ extras`. When `frames` is given, the session
-/// must already hold exactly `prefix` pushed (the caller's invariant) and
-/// the check runs incrementally — `extras` are pushed, decided, and popped,
-/// which [`Solver::check_frames_with`] guarantees is verdict- and
-/// model-identical to `check` on the full query. The screen always sees
-/// the full query, so `screened` counts match on either path.
-#[allow(clippy::too_many_arguments)]
-fn check_screened(
+/// A solver check of the query `prefix ++ extras`. When `frames` is
+/// given, the session must already hold exactly `prefix` pushed (the
+/// caller's invariant) and the check runs incrementally — `extras` are
+/// pushed, decided, and popped, which [`Solver::check_frames_with`]
+/// guarantees is verdict- and model-identical to `check` on the full
+/// query.
+fn check_query(
     pool: &TermPool,
     solver: &mut Solver,
     domains: &Domains,
     frames: Option<&mut FrameSession>,
     prefix: &[TermId],
     extras: &[TermId],
-    domain: cpr_analysis::ScreenDomain,
-    screened: &mut u64,
 ) -> SatResult {
-    let full = || {
-        let mut q: Vec<TermId> = Vec::with_capacity(prefix.len() + extras.len());
-        q.extend_from_slice(prefix);
-        q.extend_from_slice(extras);
-        q
-    };
-    if domain != cpr_analysis::ScreenDomain::Off {
-        let q = full();
-        if cpr_analysis::screened_unsat(solver, pool, &q, domains, domain) {
-            *screened += 1;
-            return SatResult::Unsat;
-        }
-        return match frames {
-            Some(f) => solver.check_frames_with(pool, f, extras, None),
-            None => solver.check(pool, &q, domains),
-        };
-    }
     match frames {
-        Some(f) => solver.check_frames_with(pool, f, extras, None),
-        None => solver.check(pool, &full(), domains),
+        Some(f) => solver.check_frames_with(pool, f, extras),
+        None => {
+            let mut q: Vec<TermId> = Vec::with_capacity(prefix.len() + extras.len());
+            q.extend_from_slice(prefix);
+            q.extend_from_slice(extras);
+            solver.check(pool, &q, domains)
+        }
     }
 }
 
@@ -261,7 +231,6 @@ fn process_entry(
         refined_shrunk: false,
         new_patch: None,
         deletion: false,
-        screened: 0,
     };
     // Every query this entry issues — the feasibility gate and the whole
     // refinement recursion — conjoins the same path prefix φ. With the
@@ -279,18 +248,7 @@ fn process_entry(
             None
         };
     // π ← φ(X) ∧ ψ_ρ(X, A) ∧ T_ρ(A)
-    if !check_screened(
-        pool,
-        solver,
-        domains,
-        frames.as_mut(),
-        phi,
-        &[t_term],
-        config.screen_domain,
-        &mut outcome.screened,
-    )
-    .is_sat()
-    {
+    if !check_query(pool, solver, domains, frames.as_mut(), phi, &[t_term]).is_sat() {
         return outcome;
     }
     outcome.feasible = true;
@@ -307,7 +265,6 @@ fn process_entry(
                 sigma,
                 0,
                 &mut 0,
-                &mut outcome.screened,
                 config,
             );
             if refined.volume() < patch.constraint.volume() {
@@ -318,16 +275,7 @@ fn process_entry(
         }
     }
     if !patch.is_exhausted() && config.deletion_check {
-        outcome.deletion = deletion_like(
-            pool,
-            solver,
-            domains,
-            &patch,
-            run,
-            phi,
-            &mut outcome.screened,
-            config,
-        );
+        outcome.deletion = deletion_like(pool, solver, domains, &patch, run, phi, config);
     }
     outcome
 }
@@ -358,7 +306,6 @@ fn deletion_like(
     patch: &AbstractPatch,
     run: &ConcolicResult,
     phi: &[TermId],
-    screened: &mut u64,
     config: &RepairConfig,
 ) -> bool {
     // Collect the partition without the patch branch itself.
@@ -411,19 +358,7 @@ fn deletion_like(
     let not_psi = pool.not(psi);
     let mut q = base.clone();
     q.push(not_psi);
-    matches!(
-        check_screened(
-            pool,
-            solver,
-            domains,
-            None,
-            &q,
-            &[],
-            config.screen_domain,
-            screened,
-        ),
-        SatResult::Unsat
-    )
+    solver.check(pool, &q, domains).is_unsat()
 }
 
 /// Algorithm 3: refines the parameter constraint `T_ρ` (given as a
@@ -450,7 +385,6 @@ pub fn refine_patch(
         sigma,
         depth,
         calls,
-        &mut 0,
         config,
     )
 }
@@ -470,7 +404,6 @@ fn refine_patch_impl(
     sigma: TermId,
     depth: u32,
     calls: &mut u32,
-    screened: &mut u64,
     config: &RepairConfig,
 ) -> Region {
     if depth >= config.max_refine_depth || *calls >= config.max_refine_calls {
@@ -478,40 +411,16 @@ fn refine_patch_impl(
         // timeout in the original tool).
         return region.clone();
     }
-    let screen_domain = config.screen_domain;
     let region_term = region.to_term(pool);
     let not_sigma = pool.not(sigma);
 
     // ω_pass1 ← φ(X) ∧ σ(X)
-    // The refinement budget `calls` counts screened queries too, so the
-    // screen can never buy a deeper recursion than the solver would.
     *calls += 1;
-    if check_screened(
-        pool,
-        solver,
-        domains,
-        frames.as_deref_mut(),
-        phi,
-        &[sigma],
-        screen_domain,
-        screened,
-    )
-    .is_sat()
-    {
+    if check_query(pool, solver, domains, frames.as_deref_mut(), phi, &[sigma]).is_sat() {
         // ω_pass2 ← φ ∧ ψ_ρ ∧ T_ρ ∧ σ
         *calls += 1;
-        if check_screened(
-            pool,
-            solver,
-            domains,
-            frames.as_deref_mut(),
-            phi,
-            &[region_term, sigma],
-            screen_domain,
-            screened,
-        )
-        .is_unsat()
-        {
+        let extras = [region_term, sigma];
+        if check_query(pool, solver, domains, frames.as_deref_mut(), phi, &extras).is_unsat() {
             // No parameter value in T_ρ can make the spec pass: discard.
             return Region::empty(region.params().to_vec());
         }
@@ -519,16 +428,8 @@ fn refine_patch_impl(
 
     // ω_fail ← φ ∧ ψ_ρ ∧ T_ρ ∧ ¬σ
     *calls += 1;
-    match check_screened(
-        pool,
-        solver,
-        domains,
-        frames.as_deref_mut(),
-        phi,
-        &[region_term, not_sigma],
-        screen_domain,
-        screened,
-    ) {
+    let extras = [region_term, not_sigma];
+    match check_query(pool, solver, domains, frames.as_deref_mut(), phi, &extras) {
         SatResult::Sat(model) => {
             // Extract the counterexample parameter point m_A.
             let point: Vec<i64> = region
@@ -550,16 +451,7 @@ fn refine_patch_impl(
                 // Guard: only recurse into regions compatible with the path.
                 *calls += 1;
                 let r_term = r.to_term(pool);
-                match check_screened(
-                    pool,
-                    solver,
-                    domains,
-                    frames.as_deref_mut(),
-                    phi,
-                    &[r_term],
-                    screen_domain,
-                    screened,
-                ) {
+                match check_query(pool, solver, domains, frames.as_deref_mut(), phi, &[r_term]) {
                     SatResult::Sat(_) | SatResult::Unknown => {
                         let refined = refine_patch_impl(
                             pool,
@@ -571,7 +463,6 @@ fn refine_patch_impl(
                             sigma,
                             depth + 1,
                             calls,
-                            screened,
                             config,
                         );
                         if !refined.is_empty() {

@@ -9,10 +9,9 @@
 //! shown in the table are already modified by the synthesizer to pass the
 //! initial test case".
 
-use cpr_analysis::alpha_equivalent;
 use cpr_concolic::{ConcolicExecutor, HolePatch};
-use cpr_lang::{HoleKind, Outcome};
-use cpr_smt::{Region, TermId};
+use cpr_lang::Outcome;
+use cpr_smt::Region;
 use cpr_synth::{enumerate, AbstractPatch, PatchCandidate};
 
 use crate::problem::{RepairConfig, RepairProblem};
@@ -29,10 +28,6 @@ pub struct SynthStats {
     pub validated: usize,
     /// Total concrete patches covered by the validated pool (`|P_Init|`).
     pub concrete: u128,
-    /// Concrete candidates rejected by the alpha-equivalence screen
-    /// (structurally equal to the buggy expression modulo commutativity)
-    /// without spending their refinement solver queries.
-    pub screened: usize,
 }
 
 /// Builds and validates the initial patch pool for `problem`.
@@ -45,16 +40,6 @@ pub fn build_patch_pool(
     let mut stats = SynthStats {
         enumerated: candidates.len(),
         ..SynthStats::default()
-    };
-    // The buggy expression at the hole, as a pool term for the
-    // alpha-equivalence screen. Interned unconditionally — not only when
-    // screening is on — so term ids (and everything downstream of them)
-    // are independent of [`RepairConfig::screen_domain`]. A condition
-    // hole with no recorded baseline behaves as `false`.
-    let baseline: Option<TermId> = match problem.baseline_expr.as_deref() {
-        Some(src) => crate::lower::lower_expr_src(&mut sess.pool, src).ok(),
-        None if problem.synth.hole_kind == HoleKind::Cond => Some(sess.pool.ff()),
-        None => None,
     };
     let (plo, phi) = problem.synth.param_range;
     let mut entries = Vec::new();
@@ -70,15 +55,7 @@ pub fn build_patch_pool(
                 Region::full(cand.params.clone(), plo, phi),
             )
         };
-        if let Some(validated) = validate_candidate(
-            sess,
-            problem,
-            config,
-            &cand,
-            initial,
-            baseline,
-            &mut stats.screened,
-        ) {
+        if let Some(validated) = validate_candidate(sess, problem, config, &cand, initial) {
             entries.push(PoolEntry::new(validated));
             next_id += 1;
         }
@@ -97,8 +74,6 @@ fn validate_candidate(
     config: &RepairConfig,
     cand: &PatchCandidate,
     mut patch: AbstractPatch,
-    baseline: Option<TermId>,
-    screened: &mut usize,
 ) -> Option<AbstractPatch> {
     let exec = ConcolicExecutor::with_budgets(config.exec_max_steps, config.exec_max_path);
     for input in problem
@@ -151,26 +126,6 @@ fn validate_candidate(
                         break;
                     };
                     let phi = run.constraints_for_patch(&mut sess.pool, cand.theta);
-                    // Alpha-equivalence screen: a concrete candidate
-                    // structurally equal (modulo commutativity) to the
-                    // buggy expression reproduces the original behaviour
-                    // verbatim, so this failing test keeps failing and the
-                    // refinement below is guaranteed to end in rejection.
-                    // Replicate refinement's interning (the region term and
-                    // ¬σ) and reject without its solver queries.
-                    if config.screen_domain != cpr_analysis::ScreenDomain::Off
-                        && failed
-                        && cand.params.is_empty()
-                    {
-                        if let Some(base) = baseline {
-                            if alpha_equivalent(&sess.pool, cand.theta, base) {
-                                patch.constraint.to_term(&mut sess.pool);
-                                sess.pool.not(sigma);
-                                *screened += 1;
-                                return None;
-                            }
-                        }
-                    }
                     let refined =
                         refine_patch(sess, &phi, &patch.constraint, sigma, 0, &mut 0, config);
                     if refined.is_empty() {

@@ -401,7 +401,7 @@ impl<'p> ConcolicFuzzer<'p> {
                     let t0 = self.obs.solve_nanos.start();
                     let verdict =
                         self.solver
-                            .check_frames_with(&self.pool, &mut frames, &[negated], None);
+                            .check_frames_with(&self.pool, &mut frames, &[negated]);
                     self.obs.solve_nanos.stop(t0);
                     match verdict {
                         SatResult::Sat(model) => {

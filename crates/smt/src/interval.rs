@@ -200,7 +200,7 @@ impl Interval {
         // Endpoint quotients are computed in i128: i64 division overflows
         // (and `wrapping_div` silently flips sign) at MIN / -1, which would
         // yield an enclosure excluding representable quotients — an unsound
-        // contraction that the static screen must never perform.
+        // contraction that would let the solver refute a satisfiable query.
         let q = [
             self.lo as i128 / rhs.lo as i128,
             self.lo as i128 / rhs.hi as i128,

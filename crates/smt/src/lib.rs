@@ -65,7 +65,7 @@ mod term;
 mod testgen;
 mod trail;
 pub mod wire;
-pub mod zone;
+mod zone;
 
 pub use deps::DepGraph;
 pub use digest::TermDigests;
@@ -75,9 +75,8 @@ pub use model::{Model, Value};
 pub use parse::ParseTermError;
 pub use region::{ParamBox, Region};
 pub use solver::{
-    CanonicalQuery, CountBounds, Domains, NoGoodStore, SatResult, SharedQueryCache, Solver,
-    SolverConfig, SolverStats, UnsatPrefixStore, VerdictStore,
+    CanonicalQuery, CountBounds, Domains, SatResult, SharedQueryCache, Solver, SolverConfig,
+    SolverStats, VerdictStore,
 };
 pub use term::{ArithOp, CmpOp, Sort, TermData, TermId, TermPool, VarId};
 pub use trail::FrameSession;
-pub use zone::{CertStep, EdgeOrigin, ScreenCertificate, ZoneEdge};

@@ -11,8 +11,8 @@
 //! The warm state is deliberately **advisory**: `Solver::check_frames`
 //! never answers from it directly. It derives the canonical query the
 //! session currently represents and routes it through the identical
-//! pipeline `Solver::check` uses (same fast paths, same no-good/cache
-//! lookups, same search), which makes the frame path verdict- and
+//! pipeline `Solver::check` uses (same fast paths, same cache lookups,
+//! same search), which makes the frame path verdict- and
 //! model-identical to from-scratch checking *by construction*. The one
 //! shortcut the warm state enables — a contraction failure observed during
 //! a push — is only taken after `Solver::refute_root` re-proves it, so it

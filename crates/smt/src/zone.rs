@@ -1,5 +1,4 @@
-//! Relational (zone) refutation over contracted boxes, and the replayable
-//! screening certificates built on top of it.
+//! Relational (zone) refutation over contracted boxes.
 //!
 //! The branch-and-prune root pass is purely *interval* reasoning: each
 //! variable is contracted independently, so facts like `x < y ∧ y < x`
@@ -21,16 +20,7 @@
 //! abandons a constraint the moment any intermediate range leaves `i64`;
 //! such constraints simply contribute no edges (the pass is allowed to
 //! under-approximate, never to over-refute).
-//!
-//! # Certificates
-//!
-//! [`ScreenCertificate`] records the deduction sequence of a successful
-//! root refutation — narrowing writes, an emptied domain, a `false`
-//! enclosure, or a negative cycle — compactly enough that an independent
-//! checker (see `cpr-analysis`'s `certify` module, which shares no
-//! inference code with this crate) can replay and accept or reject it.
 
-use crate::interval::Interval;
 use crate::solver::VarBox;
 use crate::term::{ArithOp, CmpOp, TermData, TermId, TermPool, VarId};
 
@@ -45,83 +35,6 @@ pub struct ZoneEdge {
     pub dst: Option<VarId>,
     /// The bound: `dst - src ≤ weight` (exact, never saturated).
     pub weight: i128,
-    /// Where the edge came from, for independent re-derivation.
-    pub origin: EdgeOrigin,
-}
-
-/// Provenance of a [`ZoneEdge`], naming the fact a checker must
-/// re-derive the edge from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeOrigin {
-    /// Decomposed from a live constraint term (the *top-level* asserted
-    /// constraint, so a checker can re-run the decomposition).
-    Constraint(TermId),
-    /// `v ≤ hi` from the box interval of `v` at cycle time.
-    UpperBound(VarId),
-    /// `-v ≤ -lo` from the box interval of `v` at cycle time.
-    LowerBound(VarId),
-}
-
-/// One deduction step of a replayable screening certificate. Steps are
-/// recorded in execution order; the final step is the refuting one.
-#[derive(Debug, Clone)]
-pub enum CertStep {
-    /// A constraint is the constant `false`.
-    ConstFalse {
-        /// The constant-`false` constraint.
-        constraint: TermId,
-    },
-    /// Two live constraints are literal complements of each other.
-    Complement {
-        /// One side of the complementary pair.
-        a: TermId,
-        /// The other side.
-        b: TermId,
-    },
-    /// A contraction application narrowed the listed variables. Each
-    /// entry is the variable's interval *after* the write; a checker
-    /// accepts the step iff its own revision of `constraint` under the
-    /// current box is at least as tight (claimed ⊇ checker-derived).
-    Narrow {
-        /// The constraint whose contraction produced the writes.
-        constraint: TermId,
-        /// `(variable, interval-after-write)` pairs, in slot order.
-        writes: Vec<(VarId, Interval)>,
-    },
-    /// Contracting `constraint` emptied some variable's domain.
-    Empty {
-        /// The constraint whose contraction emptied a domain.
-        constraint: TermId,
-    },
-    /// `constraint` encloses to `false` under the current box.
-    FalseEnclosure {
-        /// The constraint with the `false` enclosure.
-        constraint: TermId,
-    },
-    /// The difference-constraint graph of the live constraints plus the
-    /// current box bounds contains this negative cycle.
-    NegativeCycle {
-        /// The cycle's edges, in order (each `dst` is the next `src`).
-        edges: Vec<ZoneEdge>,
-    },
-}
-
-/// A compact, replayable proof of a screened `Unsat` verdict: the exact
-/// deduction sequence by which the solver's root pass closed the query.
-/// Produced by `Solver::refute_root_certified`, consumed by the
-/// independent checker in `cpr-analysis`.
-#[derive(Debug, Clone)]
-pub struct ScreenCertificate {
-    /// The deduction steps, in execution order.
-    pub steps: Vec<CertStep>,
-}
-
-impl ScreenCertificate {
-    /// Whether the refuting step is relational (a negative zone cycle)
-    /// rather than pure interval reasoning.
-    pub fn uses_zones(&self) -> bool {
-        matches!(self.steps.last(), Some(CertStep::NegativeCycle { .. }))
-    }
 }
 
 /// A partially-normalized linear view of an integer term: `±pos ∓ neg + k`
@@ -249,15 +162,12 @@ fn lin(pool: &TermPool, t: TermId, vbox: &VarBox) -> Option<Lin> {
 /// Appends the difference edges entailed by asserting `c` with the given
 /// polarity. Conjunctions descend under positive polarity, disjunctions
 /// under negative (De Morgan); comparisons decompose through [`lin`].
-/// Constraints outside the fragment contribute nothing. `origin` is the
-/// top-level live constraint, carried down so a checker can re-derive
-/// every edge from the asserted fact alone.
+/// Constraints outside the fragment contribute nothing.
 fn constraint_edges(
     pool: &TermPool,
     c: TermId,
     polarity: bool,
     vbox: &VarBox,
-    origin: TermId,
     out: &mut Vec<ZoneEdge>,
 ) {
     match pool.data(c) {
@@ -268,7 +178,6 @@ fn constraint_edges(
                 src: None,
                 dst: None,
                 weight: -1,
-                origin: EdgeOrigin::Constraint(origin),
             });
         }
         // A boolean variable asserted outright: `b ≥ 1` (or `b ≤ 0`
@@ -279,26 +188,24 @@ fn constraint_edges(
                     src: Some(v),
                     dst: None,
                     weight: -1,
-                    origin: EdgeOrigin::Constraint(origin),
                 }
             } else {
                 ZoneEdge {
                     src: None,
                     dst: Some(v),
                     weight: 0,
-                    origin: EdgeOrigin::Constraint(origin),
                 }
             };
             out.push(edge);
         }
-        TermData::Not(a) => constraint_edges(pool, a, !polarity, vbox, origin, out),
+        TermData::Not(a) => constraint_edges(pool, a, !polarity, vbox, out),
         TermData::And(a, b) if polarity => {
-            constraint_edges(pool, a, true, vbox, origin, out);
-            constraint_edges(pool, b, true, vbox, origin, out);
+            constraint_edges(pool, a, true, vbox, out);
+            constraint_edges(pool, b, true, vbox, out);
         }
         TermData::Or(a, b) if !polarity => {
-            constraint_edges(pool, a, false, vbox, origin, out);
-            constraint_edges(pool, b, false, vbox, origin, out);
+            constraint_edges(pool, a, false, vbox, out);
+            constraint_edges(pool, b, false, vbox, out);
         }
         TermData::Cmp(op, a, b) => {
             let op = if polarity { op } else { op.negate() };
@@ -306,13 +213,13 @@ fn constraint_edges(
                 return;
             };
             match op {
-                CmpOp::Le => le_edge(la, lb, 0, origin, out),
-                CmpOp::Lt => le_edge(la, lb, -1, origin, out),
-                CmpOp::Ge => le_edge(lb, la, 0, origin, out),
-                CmpOp::Gt => le_edge(lb, la, -1, origin, out),
+                CmpOp::Le => le_edge(la, lb, 0, out),
+                CmpOp::Lt => le_edge(la, lb, -1, out),
+                CmpOp::Ge => le_edge(lb, la, 0, out),
+                CmpOp::Gt => le_edge(lb, la, -1, out),
                 CmpOp::Eq => {
-                    le_edge(la, lb, 0, origin, out);
-                    le_edge(lb, la, 0, origin, out);
+                    le_edge(la, lb, 0, out);
+                    le_edge(lb, la, 0, out);
                 }
                 // Disequality is disjunctive; no difference edge.
                 CmpOp::Ne => {}
@@ -325,7 +232,7 @@ fn constraint_edges(
 /// Emits the edge for `l ≤ r + slack` (slack `-1` encodes strict `<`):
 /// with `d = l - r` in `±p ∓ n + k` form, the constraint is
 /// `p - n ≤ slack - k`.
-fn le_edge(l: Lin, r: Lin, slack: i128, origin: TermId, out: &mut Vec<ZoneEdge>) {
+fn le_edge(l: Lin, r: Lin, slack: i128, out: &mut Vec<ZoneEdge>) {
     let Some(d) = l.add(r.negated()) else {
         return;
     };
@@ -334,7 +241,6 @@ fn le_edge(l: Lin, r: Lin, slack: i128, origin: TermId, out: &mut Vec<ZoneEdge>)
         src: d.neg,
         dst: d.pos,
         weight: w,
-        origin: EdgeOrigin::Constraint(origin),
     });
 }
 
@@ -345,7 +251,7 @@ fn le_edge(l: Lin, r: Lin, slack: i128, origin: TermId, out: &mut Vec<ZoneEdge>)
 pub(crate) fn query_edges(pool: &TermPool, live: &[TermId], vbox: &VarBox) -> Vec<ZoneEdge> {
     let mut edges = Vec::new();
     for &c in live {
-        constraint_edges(pool, c, true, vbox, c, &mut edges);
+        constraint_edges(pool, c, true, vbox, &mut edges);
     }
     if edges.is_empty() {
         // Box bounds alone describe a non-empty box; no cycle possible.
@@ -357,13 +263,11 @@ pub(crate) fn query_edges(pool: &TermPool, live: &[TermId], vbox: &VarBox) -> Ve
             src: None,
             dst: Some(v),
             weight: iv.hi() as i128,
-            origin: EdgeOrigin::UpperBound(v),
         });
         edges.push(ZoneEdge {
             src: Some(v),
             dst: None,
             weight: -(iv.lo() as i128),
-            origin: EdgeOrigin::LowerBound(v),
         });
     }
     edges
@@ -457,6 +361,7 @@ pub(crate) fn negative_cycle(vbox: &VarBox, edges: &[ZoneEdge]) -> Option<Vec<Zo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interval::Interval;
     use crate::solver::{Domains, VarBox};
     use crate::term::Sort;
 
@@ -487,10 +392,8 @@ mod tests {
         let vbox = boxed(&pool, &[x, y], -1000, 1000);
         let cycle = zone_refute(&pool, &[a, b], &vbox).expect("x<y && y<x must cycle");
         assert!(cycle.iter().map(|e| e.weight).sum::<i128>() < 0);
-        // Both edges come from the constraints, not the bounds.
-        assert!(cycle
-            .iter()
-            .all(|e| matches!(e.origin, EdgeOrigin::Constraint(_))));
+        // Both edges come from the constraints, not the box bounds.
+        assert!(cycle.iter().all(|e| e.src.is_some() && e.dst.is_some()));
     }
 
     #[test]

@@ -81,9 +81,6 @@ done < docs/metrics_allowlist.txt
 echo "==> observability: bench_obs --check (outcome identity + <3% overhead)"
 cargo run --release -q -p cpr-bench --bin bench_obs -- --check
 
-echo "==> relational screening: bench_screen --check (report identity across off/interval/zones + zones rate floor)"
-cargo run --release -q -p cpr-bench --bin bench_screen -- --check
-
 echo "==> incremental solving: bench_reduce --check (pool/stats/query identity across cache, thread, and incremental configs)"
 cargo run --release -q -p cpr-bench --bin bench_reduce -- --check
 

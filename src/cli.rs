@@ -61,10 +61,6 @@ USAGE:
         --emit               print the repaired program (top patch applied)
         --metrics-out FILE   write the run's metrics (solver, phases) to
                              FILE as one JSON line after the repair
-        --screen-domain D    static-screening domain: off, interval, or
-                             zones (default). Every domain produces the
-                             same report; narrower ones issue more
-                             solver queries
         --cache-dir DIR      persistent fleet solver cache: warm-load
                              solver verdicts from DIR before the repair
                              and flush what this run learned back after
@@ -527,7 +523,6 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
             "top",
             "metrics-out",
             "cache-dir",
-            "screen-domain",
         ],
         &["no-logic", "emit"],
     )?;
@@ -629,11 +624,6 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
         ),
         ..RepairConfig::default()
     };
-    if let Some(d) = opts.value("screen-domain") {
-        config.screen_domain = d
-            .parse()
-            .map_err(|_| "invalid --screen-domain (expected off, interval, or zones)")?;
-    }
     config.solver.cache_dir = opts.value("cache-dir").map(std::path::PathBuf::from);
     // Hold the fleet cache open for the whole run (the solver resolves the
     // same instance through the per-directory registry), then flush once
@@ -920,8 +910,13 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Writes the demo subject to a fresh temp file. Each call gets its own
+    /// path: tests run in parallel and remove their file when done.
     fn write_demo() -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!("cpr_cli_demo_{}.cpr", std::process::id()));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("cpr_cli_demo_{}_{n}.cpr", std::process::id()));
         std::fs::write(
             &path,
             "program demo {

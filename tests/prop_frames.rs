@@ -14,7 +14,6 @@ use cpr_smt::{Domains, Solver, SolverConfig, Sort, TermId, TermPool, VarId};
 fn incremental_solver() -> Solver {
     let config = SolverConfig::default();
     assert!(config.incremental, "default must enable frames");
-    assert!(config.nogood_capacity > 0, "default must enable no-goods");
     assert!(config.batch_candidates, "default must enable batching");
     Solver::new(config)
 }
@@ -24,7 +23,6 @@ fn incremental_solver() -> Solver {
 fn scratch_solver() -> Solver {
     Solver::new(SolverConfig {
         incremental: false,
-        nogood_capacity: 0,
         batch_candidates: false,
         ..SolverConfig::default()
     })
@@ -102,7 +100,7 @@ fn frame_walks_match_from_scratch_checks_at_every_step() {
 
         // The empty session must agree with the empty conjunction.
         assert_eq!(
-            inc.check_frames(&pool, &mut frames, None),
+            inc.check_frames(&pool, &mut frames),
             scratch.check(&pool, &stack, &domains),
             "seed {seed}: empty session"
         );
@@ -118,7 +116,7 @@ fn frame_walks_match_from_scratch_checks_at_every_step() {
                 stack.push(c);
             }
             assert_eq!(frames.depth(), stack.len(), "seed {seed} step {step}");
-            let framed = inc.check_frames(&pool, &mut frames, None);
+            let framed = inc.check_frames(&pool, &mut frames);
             let rechecked = scratch.check(&pool, &stack, &domains);
             assert_eq!(
                 framed, rechecked,
@@ -132,7 +130,7 @@ fn frame_walks_match_from_scratch_checks_at_every_step() {
         }
         assert_eq!(frames.trail_len(), 0, "seed {seed}: trail not fully undone");
         assert_eq!(
-            inc.check_frames(&pool, &mut frames, None),
+            inc.check_frames(&pool, &mut frames),
             scratch.check(&pool, &[], &domains),
             "seed {seed}: unwound session"
         );
@@ -164,7 +162,7 @@ fn check_batch_matches_individual_checks() {
 
         let mut batched = incremental_solver();
         let mut scratch = scratch_solver();
-        let batch_results = batched.check_batch(&pool, &prefix, &candidates, &domains, None);
+        let batch_results = batched.check_batch(&pool, &prefix, &candidates, &domains);
         assert_eq!(batch_results.len(), candidates.len());
         for (i, (cand, got)) in candidates.iter().zip(&batch_results).enumerate() {
             let mut q = prefix.clone();
@@ -205,14 +203,14 @@ fn pop_then_repush_leaves_no_residue() {
         for &c in &first {
             inc.push_frame(&pool, &mut frames, c);
         }
-        let _ = inc.check_frames(&pool, &mut frames, None);
+        let _ = inc.check_frames(&pool, &mut frames);
         for _ in &first {
             inc.pop_frame(&mut frames);
         }
         for &c in &second {
             inc.push_frame(&pool, &mut frames, c);
         }
-        let after_swap = inc.check_frames(&pool, &mut frames, None);
+        let after_swap = inc.check_frames(&pool, &mut frames);
 
         let mut fresh: Vec<TermId> = vec![shared];
         fresh.extend_from_slice(&second);
