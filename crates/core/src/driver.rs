@@ -58,14 +58,16 @@ pub const SNAPSHOT_MAGIC: &[u8; 4] = b"CPRS";
 /// injected-inputs log ([`RepairDriver::inject_input`]), and to 5 when the
 /// UNSAT-prefix store, the static query screen and no-good learning were
 /// removed: the payload lost the prefix store, the screened-query count
-/// and the three solver counters of those layers.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// and the three solver counters of those layers. Bumped to 6 when
+/// assertion frames and batched checking were removed: the payload lost
+/// their three solver counters.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Oldest snapshot format version [`RepairDriver::resume`] still loads.
 /// Version 3 predates the injected-inputs log; such snapshots load with an
 /// empty injection log (there was nothing to inject back then). Versions 3
-/// and 4 carry the sections of the removed layers, which are decoded and
-/// discarded. Either re-encodes as the current version.
+/// to 5 carry the sections of removed layers, which are decoded and
+/// discarded. Each re-encodes as the current version.
 pub const MIN_SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be loaded. Loading never panics: every
@@ -740,11 +742,11 @@ impl RepairDriver {
         let pool = TermPool::read_wire(&mut p)?;
         let terms = pool.len();
         let vars = pool.var_count();
-        // Formats 3 and 4 carry the sections of the removed query layers
-        // (three solver counters, the UNSAT-prefix store, the
+        // Formats 3 to 5 carry the sections of removed layers (retired
+        // solver counters; in 3 and 4 also the UNSAT-prefix store and the
         // screened-query count); they are decoded and discarded.
         let legacy = version < 5;
-        let stats = wire::read_solver_stats(&mut p, legacy)?;
+        let stats = wire::read_solver_stats(&mut p, version)?;
         if legacy {
             wire::skip_legacy_prefix_store(&mut p, terms)?;
         }
@@ -1122,14 +1124,15 @@ mod tests {
         // can make a corrupt payload checksum-valid. A snapshot declaring
         // an absurd collection count must fail as a typed error before the
         // decoder allocates for the declared count. In the current format
-        // the first count after the solver stats is the pool-entry count;
-        // in legacy format 4 it is the (discarded) UNSAT-prefix store's.
-        for version in [SNAPSHOT_VERSION, 4] {
+        // and format 5 the first count after the solver stats is the
+        // pool-entry count; in legacy format 4 it is the (discarded)
+        // UNSAT-prefix store's.
+        for (version, counters) in [(SNAPSHOT_VERSION, 11), (5, 14), (4, 17)] {
             let legacy = version < 5;
             let mut p = ByteWriter::new();
             p.u64(0); // term pool: no variables
             p.u64(0); // term pool: no terms
-            for _ in 0..if legacy { 17 } else { 14 } {
+            for _ in 0..counters {
                 p.u64(0); // solver stats
             }
             if legacy {
@@ -1265,11 +1268,11 @@ mod tests {
 
     /// Rebuilds a current-version snapshot with no injections as the
     /// version-3 wire image. Format 3 had no injection log (a trailing
-    /// empty count here) and carried the sections of the removed query
-    /// layers: three more solver counters (at positions 7, 10 and 14 of
-    /// 17), the UNSAT-prefix store after the stats (written here empty,
-    /// capacity 512) and the screened-query count after
-    /// `generated_bug_hits`. Their values are discarded on resume, so
+    /// empty count here) and carried the sections of removed layers: six
+    /// more solver counters (the query layers' at positions 7, 10 and 14
+    /// of 17, the frames' at 8, 9 and 11), the UNSAT-prefix store after
+    /// the stats (written here empty, capacity 512) and the screened-query
+    /// count after `generated_bug_hits`. Their values are discarded on resume, so
     /// zeros reproduce an old snapshot of the same run.
     fn downgrade_to_v3(snap: &[u8]) -> Vec<u8> {
         let plen = u64::from_le_bytes(snap[16..24].try_into().unwrap()) as usize;
@@ -1282,15 +1285,17 @@ mod tests {
         let mut r = ByteReader::new(payload);
         TermPool::read_wire(&mut r).unwrap();
         let stats_at = plen - r.remaining();
-        let stats_end = stats_at + 14 * 8;
+        let stats_end = stats_at + 11 * 8;
         // From the end: injection log, stop reason, elapsed and explore
         // nanos.
         let screened_at = plen - 8 - 1 - 8 - 8;
         let mut p = ByteWriter::new();
         p.raw(&payload[..stats_at]);
         for (i, counter) in payload[stats_at..stats_end].chunks(8).enumerate() {
-            if matches!(i, 7 | 9 | 12) {
-                p.u64(0);
+            match i {
+                7 => (0..5).for_each(|_| p.u64(0)),
+                9 => p.u64(0),
+                _ => {}
             }
             p.raw(counter);
         }

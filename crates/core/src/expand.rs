@@ -40,7 +40,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cpr_concolic::{prefix_flips, score_candidate, CandidateInput, ConcolicResult, SeenPrefixes};
-use cpr_smt::{Domains, FrameSession, Model, SatResult, Solver, TermId, TermPool};
+use cpr_smt::{Domains, Model, SatResult, Solver, TermId, TermPool};
 
 use crate::problem::RepairConfig;
 use crate::ranking::{rank_order, PoolEntry};
@@ -301,27 +301,8 @@ fn process_flip(
     // Stage A: the patch-independent skeleton. UNSAT here refutes every
     // probe query (each is a superset), producing the same skip decision
     // with one query instead of `max_feasibility_probes`.
-    //
-    // With the incremental knobs on, the skeleton — a subset of every probe
-    // query of this flip — becomes a pushed frame prefix: its check warms
-    // the session, and each probe then pushes its full query as extras
-    // (skeleton constraints re-push as no-op duplicate frames, only the
-    // patch steps and `T_ρ` contract incrementally).
-    let use_frames = solver.config().incremental && solver.config().batch_candidates;
-    let mut frames: Option<FrameSession> = None;
     if let Some(skeleton) = &task.skeleton {
-        let verdict = if use_frames {
-            let mut f = solver.open_frames(pool, domains);
-            for &c in skeleton {
-                solver.push_frame(pool, &mut f, c);
-            }
-            let verdict = solver.check_frames(pool, &mut f);
-            frames = Some(f);
-            verdict
-        } else {
-            solver.check(pool, skeleton, domains)
-        };
-        if verdict.is_unsat() {
+        if solver.check(pool, skeleton, domains).is_unsat() {
             out.base_unsat_skips = task.queries.len() as u64;
             out.skipped = task.count_skip;
             return out;
@@ -338,11 +319,7 @@ fn process_flip(
                 break;
             }
         }
-        let verdict = match frames.as_mut() {
-            Some(f) => solver.check_frames_with(pool, f, query),
-            None => solver.check(pool, query, domains),
-        };
-        match verdict {
+        match solver.check(pool, query, domains) {
             SatResult::Sat(model) => {
                 // Keep parameter values in the model: the repair loop uses
                 // them as the representative so the intended path is

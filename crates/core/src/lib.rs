@@ -73,5 +73,5 @@ pub use problem::{test_input, RepairConfig, RepairProblem, TestInput};
 pub use ranking::{rank_order, PoolEntry, RankScore};
 pub use reduce::{reduce, refine_patch, ReduceStats};
 pub use repair::{developer_rank, equivalent, repair, RankedPatch, RepairReport};
-pub use session::Session;
+pub use session::{PoolMark, Session};
 pub use synthesize::{build_patch_pool, SynthStats};

@@ -34,7 +34,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cpr_concolic::ConcolicResult;
-use cpr_smt::{Domains, FrameSession, Region, SatResult, Solver, TermId, TermPool};
+use cpr_smt::{Domains, Region, SatResult, Solver, TermId, TermPool};
 use cpr_synth::AbstractPatch;
 
 use crate::problem::RepairConfig;
@@ -187,29 +187,18 @@ pub fn reduce(
     stats
 }
 
-/// A solver check of the query `prefix ++ extras`. When `frames` is
-/// given, the session must already hold exactly `prefix` pushed (the
-/// caller's invariant) and the check runs incrementally — `extras` are
-/// pushed, decided, and popped, which [`Solver::check_frames_with`]
-/// guarantees is verdict- and model-identical to `check` on the full
-/// query.
+/// A solver check of the query `prefix ++ extras`.
 fn check_query(
     pool: &TermPool,
     solver: &mut Solver,
     domains: &Domains,
-    frames: Option<&mut FrameSession>,
     prefix: &[TermId],
     extras: &[TermId],
 ) -> SatResult {
-    match frames {
-        Some(f) => solver.check_frames_with(pool, f, extras),
-        None => {
-            let mut q: Vec<TermId> = Vec::with_capacity(prefix.len() + extras.len());
-            q.extend_from_slice(prefix);
-            q.extend_from_slice(extras);
-            solver.check(pool, &q, domains)
-        }
-    }
+    let mut q: Vec<TermId> = Vec::with_capacity(prefix.len() + extras.len());
+    q.extend_from_slice(prefix);
+    q.extend_from_slice(extras);
+    solver.check(pool, &q, domains)
 }
 
 /// One entry of the pool walk, on worker-owned state.
@@ -232,23 +221,8 @@ fn process_entry(
         new_patch: None,
         deletion: false,
     };
-    // Every query this entry issues — the feasibility gate and the whole
-    // refinement recursion — conjoins the same path prefix φ. With the
-    // incremental knobs on, push φ as assertion frames once: the shared
-    // prefix is contracted a single time and each query only push/pops its
-    // own hole constraints.
-    let mut frames: Option<FrameSession> =
-        if solver.config().incremental && solver.config().batch_candidates {
-            let mut f = solver.open_frames(pool, domains);
-            for &c in phi {
-                solver.push_frame(pool, &mut f, c);
-            }
-            Some(f)
-        } else {
-            None
-        };
     // π ← φ(X) ∧ ψ_ρ(X, A) ∧ T_ρ(A)
-    if !check_query(pool, solver, domains, frames.as_mut(), phi, &[t_term]).is_sat() {
+    if !check_query(pool, solver, domains, phi, &[t_term]).is_sat() {
         return outcome;
     }
     outcome.feasible = true;
@@ -259,7 +233,6 @@ fn process_entry(
                 pool,
                 solver,
                 domains,
-                frames.as_mut(),
                 phi,
                 &patch.constraint,
                 sigma,
@@ -379,7 +352,6 @@ pub fn refine_patch(
         &mut sess.pool,
         &mut sess.solver,
         &sess.domains,
-        None,
         phi,
         region,
         sigma,
@@ -390,15 +362,12 @@ pub fn refine_patch(
 }
 
 /// [`refine_patch`] on explicit pool/solver/domain state, so reduce workers
-/// can run it on their forks. When `frames` is given it must hold exactly
-/// `phi` pushed; every query of the refinement then reuses that contracted
-/// prefix and only push/pops its own two or three hole constraints.
+/// can run it on their forks.
 #[allow(clippy::too_many_arguments)]
 fn refine_patch_impl(
     pool: &mut TermPool,
     solver: &mut Solver,
     domains: &Domains,
-    mut frames: Option<&mut FrameSession>,
     phi: &[TermId],
     region: &Region,
     sigma: TermId,
@@ -416,11 +385,11 @@ fn refine_patch_impl(
 
     // ω_pass1 ← φ(X) ∧ σ(X)
     *calls += 1;
-    if check_query(pool, solver, domains, frames.as_deref_mut(), phi, &[sigma]).is_sat() {
+    if check_query(pool, solver, domains, phi, &[sigma]).is_sat() {
         // ω_pass2 ← φ ∧ ψ_ρ ∧ T_ρ ∧ σ
         *calls += 1;
         let extras = [region_term, sigma];
-        if check_query(pool, solver, domains, frames.as_deref_mut(), phi, &extras).is_unsat() {
+        if check_query(pool, solver, domains, phi, &extras).is_unsat() {
             // No parameter value in T_ρ can make the spec pass: discard.
             return Region::empty(region.params().to_vec());
         }
@@ -429,7 +398,7 @@ fn refine_patch_impl(
     // ω_fail ← φ ∧ ψ_ρ ∧ T_ρ ∧ ¬σ
     *calls += 1;
     let extras = [region_term, not_sigma];
-    match check_query(pool, solver, domains, frames.as_deref_mut(), phi, &extras) {
+    match check_query(pool, solver, domains, phi, &extras) {
         SatResult::Sat(model) => {
             // Extract the counterexample parameter point m_A.
             let point: Vec<i64> = region
@@ -451,13 +420,12 @@ fn refine_patch_impl(
                 // Guard: only recurse into regions compatible with the path.
                 *calls += 1;
                 let r_term = r.to_term(pool);
-                match check_query(pool, solver, domains, frames.as_deref_mut(), phi, &[r_term]) {
+                match check_query(pool, solver, domains, phi, &[r_term]) {
                     SatResult::Sat(_) | SatResult::Unknown => {
                         let refined = refine_patch_impl(
                             pool,
                             solver,
                             domains,
-                            frames.as_deref_mut(),
                             phi,
                             &r,
                             sigma,

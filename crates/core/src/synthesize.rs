@@ -89,12 +89,20 @@ fn validate_candidate(
                 theta: cand.theta,
                 params: rep.clone(),
             };
+            // A run rejected before it reaches the solver leaves nothing a
+            // later query reads: roll its terms back (a step-limited run
+            // alone can intern tens of thousands).
+            let mark = sess.mark();
             let run = exec.execute(&mut sess.pool, &problem.program, &input_model, Some(&hole));
+            let reject = |sess: &mut Session| {
+                sess.roll_back(mark);
+                None
+            };
             match &run.outcome {
                 // A sanitizer crash the specification did not capture: the
                 // candidate does not even keep the program crash-free on
                 // this test — discard.
-                Outcome::Crash { .. } => return None,
+                Outcome::Crash { .. } => return reject(sess),
                 Outcome::MissingPatch => unreachable!("patch provided"),
                 // Vacuous paths carry no evidence.
                 Outcome::AssumeFailed => {
@@ -102,7 +110,7 @@ fn validate_candidate(
                     break;
                 }
                 // A diverging patched program does not pass the test.
-                Outcome::StepLimit => return None,
+                Outcome::StepLimit => return reject(sess),
                 Outcome::AssertFailed { .. }
                 | Outcome::SpecViolated { .. }
                 | Outcome::Returned(_) => {
@@ -112,7 +120,7 @@ fn validate_candidate(
                         // unchanged on this input, so a failing test stays
                         // failing.
                         if failed {
-                            return None;
+                            return reject(sess);
                         }
                         accepted = true;
                         break;
@@ -120,7 +128,7 @@ fn validate_candidate(
                     let Some(sigma) = run.spec_term(&mut sess.pool) else {
                         // No specification observed on this path.
                         if failed {
-                            return None;
+                            return reject(sess);
                         }
                         accepted = true;
                         break;

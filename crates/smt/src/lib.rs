@@ -63,7 +63,6 @@ mod solver;
 mod term;
 #[cfg(test)]
 mod testgen;
-mod trail;
 pub mod wire;
 mod zone;
 
@@ -79,4 +78,3 @@ pub use solver::{
     SolverStats, VerdictStore,
 };
 pub use term::{ArithOp, CmpOp, Sort, TermData, TermId, TermPool, VarId};
-pub use trail::FrameSession;

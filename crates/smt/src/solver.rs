@@ -23,7 +23,6 @@ use crate::fleet::{FleetCache, FleetKey, FleetVerdict};
 use crate::interval::Interval;
 use crate::model::{Model, Value};
 use crate::term::{ArithOp, CmpOp, Sort, TermData, TermId, TermPool, VarId};
-use crate::trail::FrameSession;
 use crate::zone;
 
 /// Initial variable domains for a query.
@@ -118,18 +117,6 @@ pub struct SolverConfig {
     /// Capacity of the memoizing query cache (entries per generation);
     /// `0` disables caching entirely.
     pub cache_capacity: usize,
-    /// Enables the incremental machinery: the precomputed term→variable
-    /// dependency graph (see [`DepGraph`]) serving the hot-path variable
-    /// lookups, and the assertion-frame entry points
-    /// ([`Solver::open_frames`] and friends). Verdict-preserving: the
-    /// determinism suite proves repair reports are bit-identical with this
-    /// on or off.
-    pub incremental: bool,
-    /// Routes prefix-sharing candidate batches ([`Solver::check_batch`]
-    /// and the frame sessions reduce/expand thread through their query
-    /// loops) through shared assertion frames instead of independent
-    /// from-scratch checks. Requires `incremental`; verdict-preserving.
-    pub batch_candidates: bool,
     /// Directory of the durable fleet cache (see [`crate::fleet`]):
     /// verdicts keyed by content digest, shared across jobs
     /// and restarts. `None` (the default) disables the fleet path
@@ -149,8 +136,6 @@ impl Default for SolverConfig {
             max_contraction_rounds: 30,
             default_domain: Interval::of(-(1 << 30), 1 << 30),
             cache_capacity: 4_096,
-            incremental: true,
-            batch_candidates: true,
             cache_dir: None,
             fleet_capacity: 65_536,
         }
@@ -174,14 +159,6 @@ pub struct SolverStats {
     pub cache_hits: u64,
     /// Queries that missed the cache and ran the full search.
     pub cache_misses: u64,
-    /// Assertion frames pushed ([`Solver::push_frame`]).
-    pub frames_pushed: u64,
-    /// Interval deltas undone by frame pops (total trail entries restored).
-    pub trail_restores: u64,
-    /// Queries answered through the assertion-frame path
-    /// ([`Solver::check_frames`] / [`Solver::check_batch`]); every such
-    /// query also counts in `queries`.
-    pub batched_queries: u64,
     /// Queries answered from the durable fleet cache (verdict lookups
     /// that resolved and revalidated; every such query also counts in
     /// `queries` and its per-verdict counter).
@@ -206,12 +183,10 @@ pub type CanonicalQuery = (Vec<TermId>, u64);
 
 type QueryKey = CanonicalQuery;
 
-/// The shared first stage of every query path: drops constant-`true`
-/// constraints and keeps the rest, in caller order. `None` means a
-/// constant-`false` constraint makes the conjunction trivially
-/// unsatisfiable (each call site answers that case with its own
-/// bookkeeping).
-pub(crate) fn filter_live(pool: &TermPool, constraints: &[TermId]) -> Option<Vec<TermId>> {
+/// Drops constant-`true` constraints and keeps the rest, in caller order.
+/// `None` means a constant-`false` constraint makes the conjunction
+/// trivially unsatisfiable.
+fn filter_live(pool: &TermPool, constraints: &[TermId]) -> Option<Vec<TermId>> {
     let mut live: Vec<TermId> = Vec::with_capacity(constraints.len());
     for &c in constraints {
         match pool.data(c) {
@@ -223,20 +198,16 @@ pub(crate) fn filter_live(pool: &TermPool, constraints: &[TermId]) -> Option<Vec
     Some(live)
 }
 
-/// The shared fast refutation of every query path: whether two live
-/// constraints are literal complements of each other (common in
-/// equivalence queries). `TermPool::complementary` is symmetric, so the
-/// verdict is a function of the constraint *set* — scanning the sorted
-/// canonical order and scanning caller order agree.
-pub(crate) fn has_complementary_pair(pool: &TermPool, live: &[TermId]) -> bool {
+/// Whether two live constraints are literal complements of each other
+/// (common in equivalence queries).
+fn has_complementary_pair(pool: &TermPool, live: &[TermId]) -> bool {
     live.iter()
         .enumerate()
         .any(|(i, &a)| live[i + 1..].iter().any(|&b| pool.complementary(a, b)))
 }
 
 /// The widest non-point variable among `vars` (ties keep the earlier
-/// variable in first-occurrence order) — the branch-variable heuristic,
-/// shared by both `vars_of` routes of [`Solver::pick_branch_var`].
+/// variable in first-occurrence order) — the branch-variable heuristic.
 fn widest_var(vars: impl Iterator<Item = VarId>, vbox: &VarBox) -> Option<VarId> {
     let mut best: Option<(VarId, u64)> = None;
     for v in vars {
@@ -402,16 +373,11 @@ struct SolverObs {
     unknown: Counter,
     cache_hits: Counter,
     cache_misses: Counter,
-    frames_pushed: Counter,
-    frames_popped: Counter,
-    trail_restores: Counter,
-    batched_queries: Counter,
     fleet_hits: Counter,
     fleet_misses: Counter,
     fleet_stores: Counter,
     fleet_load_errors: Counter,
     solve_nanos: Histogram,
-    frame_contract_nanos: Histogram,
 }
 
 impl SolverObs {
@@ -423,16 +389,11 @@ impl SolverObs {
             unknown: reg.counter("solver.unknown"),
             cache_hits: reg.counter("solver.cache_hits"),
             cache_misses: reg.counter("solver.cache_misses"),
-            frames_pushed: reg.counter("solver.frames.pushed"),
-            frames_popped: reg.counter("solver.frames.popped"),
-            trail_restores: reg.counter("solver.frames.trail_restores"),
-            batched_queries: reg.counter("solver.batch.queries"),
             fleet_hits: reg.counter("solver.fleet.hits"),
             fleet_misses: reg.counter("solver.fleet.misses"),
             fleet_stores: reg.counter("solver.fleet.stores"),
             fleet_load_errors: reg.counter("solver.fleet.load_errors"),
             solve_nanos: reg.histogram("solver.solve_nanos"),
-            frame_contract_nanos: reg.histogram("solver.frames.contract_nanos"),
         }
     }
 }
@@ -447,7 +408,7 @@ impl Default for SolverObs {
 /// Fingerprint (FNV-1a) of the domain environment a query runs under, so
 /// identical constraint sets solved under different domains never share a
 /// cache entry.
-pub(crate) fn domains_fingerprint(domains: &Domains, default: Interval) -> u64 {
+fn domains_fingerprint(domains: &Domains, default: Interval) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |v: u64| {
         h ^= v;
@@ -486,10 +447,9 @@ pub struct Solver {
     /// mean the same thing in every fork and every process.
     cache_floor: usize,
     /// Term → variable dependency lists, synced lazily against the pool
-    /// when [`SolverConfig::incremental`] is on (see [`DepGraph`]).
-    pub(crate) deps: DepGraph,
-    /// Per-term content digests, synced lazily like `deps` (but
-    /// unconditionally — content ordering is not gated on `incremental`).
+    /// (see [`DepGraph`]).
+    deps: DepGraph,
+    /// Per-term content digests, synced lazily like `deps`.
     digests: TermDigests,
     /// The durable fleet cache, when [`SolverConfig::cache_dir`] is set —
     /// one shared instance per directory per process, `Arc`-cloned into
@@ -579,9 +539,6 @@ impl Solver {
         self.stats.nodes += s.nodes;
         self.stats.cache_hits += s.cache_hits;
         self.stats.cache_misses += s.cache_misses;
-        self.stats.frames_pushed += s.frames_pushed;
-        self.stats.trail_restores += s.trail_restores;
-        self.stats.batched_queries += s.batched_queries;
         self.stats.fleet_hits += s.fleet_hits;
         self.stats.fleet_misses += s.fleet_misses;
         self.stats.fleet_stores += s.fleet_stores;
@@ -650,235 +607,6 @@ impl Solver {
         result
     }
 
-    /// Opens an assertion-frame session over `domains`: an incremental
-    /// alternative to per-call [`Solver::check`] for runs of queries that
-    /// share constraint prefixes. Push constraints with
-    /// [`Solver::push_frame`], undo them in LIFO order with
-    /// [`Solver::pop_frame`], and decide the current conjunction with
-    /// [`Solver::check_frames`] — which returns exactly what `check` on
-    /// the pushed constraints would, verdicts and models alike.
-    ///
-    /// The domain environment is captured here and fixed for the session's
-    /// lifetime.
-    pub fn open_frames(&mut self, pool: &TermPool, domains: &Domains) -> FrameSession {
-        if self.config.incremental {
-            self.deps.sync(pool);
-        }
-        FrameSession::open(
-            domains.clone(),
-            self.config.default_domain,
-            domains_fingerprint(domains, self.config.default_domain),
-        )
-    }
-
-    /// Pushes `constraint` onto the session as a new assertion frame and
-    /// re-contracts the session's warm state along the constraint's
-    /// dependency cone, logging every narrowed interval on the undo trail.
-    pub fn push_frame(&mut self, pool: &TermPool, frames: &mut FrameSession, constraint: TermId) {
-        self.stats.frames_pushed += 1;
-        self.obs.frames_pushed.inc();
-        if self.config.incremental {
-            self.deps.sync(pool);
-        }
-        let t0 = self.obs.frame_contract_nanos.start();
-        let owned: Vec<VarId>;
-        let vars: &[VarId] = if self.config.incremental && self.deps.covers(constraint) {
-            self.deps.vars_of(constraint)
-        } else {
-            owned = pool.vars_of(constraint);
-            &owned
-        };
-        frames.push(pool, constraint, vars, self.config.max_contraction_rounds);
-        self.obs.frame_contract_nanos.stop(t0);
-    }
-
-    /// Pops the most recently pushed frame, restoring the session's warm
-    /// state from the trail in O(entries this frame logged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session has no pushed frame.
-    pub fn pop_frame(&mut self, frames: &mut FrameSession) {
-        let restored = frames.pop() as u64;
-        self.stats.trail_restores += restored;
-        self.obs.trail_restores.add(restored);
-        self.obs.frames_popped.inc();
-    }
-
-    /// Decides the conjunction of the session's currently pushed
-    /// constraints — with verdicts, models, and query accounting identical
-    /// to [`Solver::check`] on those constraints.
-    ///
-    /// The session's warm state never becomes the answer directly: the
-    /// canonical query is derived from the frame stack and routed through
-    /// the same pipeline as `check` (fast refutations, cache, fleet store,
-    /// search). A contraction failure observed during
-    /// a push is only turned into `Unsat` after [`Solver::refute_root`]
-    /// re-proves it, so the shortcut cannot diverge from `check` either.
-    pub fn check_frames(&mut self, pool: &TermPool, frames: &mut FrameSession) -> SatResult {
-        let t0 = self.obs.solve_nanos.start();
-        let result = self.check_frames_inner(pool, frames);
-        self.obs.solve_nanos.stop(t0);
-        self.obs.queries.inc();
-        self.obs.batched_queries.inc();
-        match &result {
-            SatResult::Sat(_) => self.obs.sat.inc(),
-            SatResult::Unsat => self.obs.unsat.inc(),
-            SatResult::Unknown => self.obs.unknown.inc(),
-        }
-        result
-    }
-
-    fn check_frames_inner(&mut self, pool: &TermPool, frames: &FrameSession) -> SatResult {
-        self.stats.queries += 1;
-        self.stats.batched_queries += 1;
-        // Keep the digest table warm so the `&self` refutation path
-        // below reads it instead of recomputing digests locally.
-        self.digests.sync(pool);
-        // The same trivial refutations `check` fires before
-        // canonicalization. The complementary-pair scan runs over the
-        // sorted canonical set instead of push order; `complementary` is
-        // symmetric, so the outcome is the same.
-        if frames.has_trivially_false() {
-            self.stats.unsat += 1;
-            return SatResult::Unsat;
-        }
-        if has_complementary_pair(pool, frames.canonical()) {
-            self.stats.unsat += 1;
-            return SatResult::Unsat;
-        }
-        let key: QueryKey = (frames.canonical().to_vec(), frames.fingerprint());
-        // Warm-state shortcut: push-time contraction emptied a domain, so
-        // the conjunction is almost certainly UNSAT — but the warm trace
-        // interleaves frames differently than `check`'s canonical root
-        // pass, so re-prove it with the exact root pass before answering.
-        // (`refute_root == true` implies `check` would answer `Unsat`.)
-        if frames.failed() && self.refute_root(pool, &key.0, frames.domains()) {
-            self.stats.unsat += 1;
-            return SatResult::Unsat;
-        }
-        self.answer(pool, key, frames.domains())
-    }
-
-    /// Pushes `extras`, decides the resulting conjunction via
-    /// [`Solver::check_frames`], then pops them again — the per-candidate
-    /// step of batched checking.
-    pub fn check_frames_with(
-        &mut self,
-        pool: &TermPool,
-        frames: &mut FrameSession,
-        extras: &[TermId],
-    ) -> SatResult {
-        for &c in extras {
-            self.push_frame(pool, frames, c);
-        }
-        let result = self.check_frames(pool, frames);
-        for _ in extras {
-            self.pop_frame(frames);
-        }
-        result
-    }
-
-    /// Checks a batch of candidate queries sharing a constraint `prefix`:
-    /// the prefix is pushed (and contracted) once, then each candidate's
-    /// extra constraints are pushed, decided, and popped in O(delta).
-    /// Returns one verdict per candidate, each identical to
-    /// `check(prefix ++ candidate)` — when `incremental` or
-    /// `batch_candidates` is off, that is literally what runs.
-    pub fn check_batch(
-        &mut self,
-        pool: &TermPool,
-        prefix: &[TermId],
-        candidates: &[Vec<TermId>],
-        domains: &Domains,
-    ) -> Vec<SatResult> {
-        if !(self.config.incremental && self.config.batch_candidates) {
-            return candidates
-                .iter()
-                .map(|cand| {
-                    let mut q: Vec<TermId> = Vec::with_capacity(prefix.len() + cand.len());
-                    q.extend_from_slice(prefix);
-                    q.extend_from_slice(cand);
-                    self.check(pool, &q, domains)
-                })
-                .collect();
-        }
-        let mut frames = self.open_frames(pool, domains);
-        for &c in prefix {
-            self.push_frame(pool, &mut frames, c);
-        }
-        candidates
-            .iter()
-            .map(|cand| self.check_frames_with(pool, &mut frames, cand))
-            .collect()
-    }
-
-    /// Sound *static* refutation of a conjunction: runs exactly the
-    /// pre-search fast paths of [`Solver::check`] (constant `false`,
-    /// complementary literal pair) plus the root search node's contraction
-    /// fixpoint and forward enclosure — and nothing else. No branching, no
-    /// statistics, no cache, no store, no interning.
-    ///
-    /// **Guarantee:** `refute_root(..) == true` implies that
-    /// [`Solver::check`] on the same `(constraints, domains)` returns
-    /// [`SatResult::Unsat`]. This holds by construction: `check`'s search
-    /// performs this very pass at its root before any branching, and both
-    /// passes iterate the identical canonical (sorted, deduplicated)
-    /// constraint order, so the bounded contraction trace is the same.
-    /// `false` carries no information.
-    ///
-    /// Its one caller is the assertion-frame path: when push-time
-    /// contraction empties a domain, [`Solver::check_frames`] re-proves the
-    /// refutation with this exact root pass before answering `Unsat`, so
-    /// the frame shortcut can never diverge from `check`.
-    pub fn refute_root(&self, pool: &TermPool, constraints: &[TermId], domains: &Domains) -> bool {
-        let Some(mut live) = filter_live(pool, constraints) else {
-            return true;
-        };
-        if has_complementary_pair(pool, &live) {
-            return true;
-        }
-        // With a zero node budget, `check` answers `Unknown` before ever
-        // reaching the root contraction pass; mirror that so the guarantee
-        // stays exact.
-        if self.config.max_nodes == 0 {
-            return false;
-        }
-        live.sort_unstable();
-        live.dedup();
-        // Lockstep with `check`'s root node: the search iterates the
-        // content-canonical order (see `answer`), so the bounded
-        // contraction trace here must too — the guarantee above is exact
-        // only if both passes apply constraints identically.
-        let live = self.digests.sort_by_content(pool, &live);
-        let vars = self.query_vars(pool, &live);
-        let mut vbox = VarBox::new(pool, &vars, domains, self.config.default_domain);
-        for _ in 0..self.config.max_contraction_rounds {
-            vbox.clear_changed();
-            for &c in &live {
-                if contract_bool(pool, c, true, &mut vbox).is_err() {
-                    return true;
-                }
-            }
-            if !vbox.take_changed() {
-                break;
-            }
-        }
-        if live
-            .iter()
-            .any(|&c| enclose_bool(pool, c, &vbox) == Bool3::False)
-        {
-            return true;
-        }
-        // The relational tail of the root node, in lockstep with
-        // `search`: a negative difference-constraint cycle over the
-        // contracted box. (When the search would have answered `Sat`
-        // here — all enclosures true — the pass finds no cycle by
-        // soundness, so skipping the `all_true` short-circuit cannot
-        // break the guarantee.)
-        zone::zone_refute(pool, &live, &vbox).is_some()
-    }
-
     fn check_inner(
         &mut self,
         pool: &TermPool,
@@ -912,12 +640,10 @@ impl Solver {
         self.answer(pool, key, domains)
     }
 
-    /// The shared tail of every query path, taking over once a query is in
+    /// The tail of [`Solver::check`], taking over once a query is in
     /// canonical form (and its trivial refutations are ruled out): the
     /// memoizing cache, the fleet store, and finally the branch-and-prune
-    /// search. Both [`Solver::check`] and the assertion-frame path
-    /// ([`Solver::check_frames`]) end here, which is what makes the two
-    /// entry points verdict-identical by construction.
+    /// search.
     fn answer(&mut self, pool: &TermPool, key: QueryKey, domains: &Domains) -> SatResult {
         let caching = self.cache.capacity() > 0
             && key
@@ -938,9 +664,7 @@ impl Solver {
             self.stats.cache_misses += 1;
             self.obs.cache_misses.inc();
         }
-        if self.config.incremental {
-            self.deps.sync(pool);
-        }
+        self.deps.sync(pool);
         // Content-canonical answer order: the solver *answers* every
         // query with constraints iterated in content-digest order (ties
         // by id), unconditionally — fleet on or off. With the bounded
@@ -982,7 +706,7 @@ impl Solver {
             self.stats.fleet_misses += 1;
             self.obs.fleet_misses.inc();
         }
-        let vars = self.query_vars(pool, &live);
+        let vars = self.query_vars(&live);
         let mut vbox = VarBox::new(pool, &vars, domains, self.config.default_domain);
         let mut budget = self.config.max_nodes;
         let result = self.search(pool, &live, &mut vbox, &mut budget, true);
@@ -1035,7 +759,7 @@ impl Solver {
                 for (name, value) in &named {
                     model.set(pool.find_var(name)?, *value);
                 }
-                let vars = self.query_vars(pool, live);
+                let vars = self.query_vars(live);
                 if !vars.iter().all(|&v| model.get(v).is_some()) {
                     return None;
                 }
@@ -1048,27 +772,15 @@ impl Solver {
     }
 
     /// Collects the variables of a canonical query in first-occurrence
-    /// order, through the dependency graph when it covers every constraint
-    /// (always true on the incremental hot path, where [`DepGraph::sync`]
-    /// runs first) and through `TermPool::vars_of` otherwise. The two
-    /// routes produce the identical list — `DepGraph` replicates the
-    /// `vars_of` order exactly, which its property test pins.
-    fn query_vars(&self, pool: &TermPool, live: &[TermId]) -> Vec<VarId> {
+    /// order, through the dependency graph (the caller has synced it
+    /// against the query's pool). `DepGraph` replicates the
+    /// `TermPool::vars_of` order exactly, which its property test pins.
+    fn query_vars(&self, live: &[TermId]) -> Vec<VarId> {
         let mut vars: Vec<VarId> = Vec::new();
-        if self.config.incremental && live.iter().all(|&c| self.deps.covers(c)) {
-            for &c in live {
-                for &v in self.deps.vars_of(c) {
-                    if !vars.contains(&v) {
-                        vars.push(v);
-                    }
-                }
-            }
-        } else {
-            for &c in live {
-                for v in pool.vars_of(c) {
-                    if !vars.contains(&v) {
-                        vars.push(v);
-                    }
+        for &c in live {
+            for &v in self.deps.vars_of(c) {
+                if !vars.contains(&v) {
+                    vars.push(v);
                 }
             }
         }
@@ -1094,10 +806,8 @@ impl Solver {
         let Some(live) = filter_live(pool, constraints) else {
             return CountBounds { lo: 0, hi: 0 };
         };
-        if self.config.incremental {
-            self.deps.sync(pool);
-        }
-        let vars = self.query_vars(pool, &live);
+        self.deps.sync(pool);
+        let vars = self.query_vars(&live);
         let vbox = VarBox::new(pool, &vars, domains, self.config.default_domain);
         let mut budget = self.config.max_nodes;
         let mut bounds = CountBounds { lo: 0, hi: 0 };
@@ -1151,7 +861,7 @@ impl Solver {
             bounds.hi = bounds.hi.saturating_add(v);
             return;
         }
-        let Some(v) = self.pick_branch_var(pool, unknown_constraint.unwrap(), &vbox) else {
+        let Some(v) = self.pick_branch_var(unknown_constraint.unwrap(), &vbox) else {
             // Point box with undecidable enclosure: concrete check.
             let m = vbox.midpoint_model();
             if m.satisfies(pool, constraints) {
@@ -1239,15 +949,13 @@ impl Solver {
         // difference-constraint graph refutes the whole box — catching
         // `x < y ∧ y < x`-shaped conjunctions the per-variable interval
         // contraction above cannot see. Root-only keeps the cost to one
-        // Bellman–Ford scan per query; [`Solver::refute_root`] mirrors
-        // this pass exactly, which is what keeps its guarantee
-        // ("refute_root implies check says Unsat") valid for zones too.
+        // Bellman–Ford scan per query.
         if root && zone::zone_refute(pool, constraints, vbox).is_some() {
             return SatResult::Unsat;
         }
 
         // Branch on a variable of an unknown constraint.
-        let branch_var = self.pick_branch_var(pool, unknown_constraint.unwrap(), vbox);
+        let branch_var = self.pick_branch_var(unknown_constraint.unwrap(), vbox);
         let Some(v) = branch_var else {
             // All variables are points yet a constraint is unknown: can only
             // happen through enclosure looseness; fall back to concrete check.
@@ -1283,15 +991,11 @@ impl Solver {
         }
     }
 
-    fn pick_branch_var(&self, pool: &TermPool, constraint: TermId, vbox: &VarBox) -> Option<VarId> {
+    fn pick_branch_var(&self, constraint: TermId, vbox: &VarBox) -> Option<VarId> {
         // Branch-variable selection runs once per search node, making it
         // the hottest `vars_of` consumer by far — the dependency graph
         // turns each call from a DAG walk into a slice read.
-        if self.config.incremental && self.deps.covers(constraint) {
-            widest_var(self.deps.vars_of(constraint).iter().copied(), vbox)
-        } else {
-            widest_var(pool.vars_of(constraint).into_iter(), vbox)
-        }
+        widest_var(self.deps.vars_of(constraint).iter().copied(), vbox)
     }
 }
 
@@ -1378,13 +1082,6 @@ impl VarBox {
             .iter()
             .map(|&v| initial_interval(pool, v, domains, default))
             .collect();
-        VarBox::from_parts(vars.to_vec(), ivs)
-    }
-
-    /// Assembles a box from parallel variable/interval lists (the frame
-    /// path hands over its warm layout this way).
-    pub(crate) fn from_parts(vars: Vec<VarId>, ivs: Vec<Interval>) -> Self {
-        debug_assert_eq!(vars.len(), ivs.len());
         let mut lookup: Vec<(VarId, u32)> = vars
             .iter()
             .enumerate()
@@ -1392,7 +1089,7 @@ impl VarBox {
             .collect();
         lookup.sort_unstable_by_key(|e| e.0);
         VarBox {
-            vars,
+            vars: vars.to_vec(),
             ivs,
             lookup,
             changed: false,
@@ -1426,50 +1123,6 @@ impl VarBox {
         &self.vars
     }
 
-    /// A copy of the intervals (for before/after diffing).
-    pub(crate) fn snapshot_ivs(&self) -> Vec<Interval> {
-        self.ivs.clone()
-    }
-
-    /// Slots whose interval differs from `before` (a prior
-    /// [`VarBox::snapshot_ivs`] of the same box).
-    pub(crate) fn diff_slots(&self, before: &[Interval]) -> Vec<usize> {
-        self.ivs
-            .iter()
-            .zip(before)
-            .enumerate()
-            .filter(|(_, (now, old))| now != old)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Overwrites a slot directly, bypassing the change flag — trail
-    /// restores must not look like contraction progress.
-    pub(crate) fn restore_slot(&mut self, slot: usize, iv: Interval) {
-        self.ivs[slot] = iv;
-    }
-
-    /// Appends a variable with its initial interval, returning its slot.
-    pub(crate) fn push_var(&mut self, v: VarId, iv: Interval) -> usize {
-        let slot = self.vars.len() as u32;
-        self.vars.push(v);
-        self.ivs.push(iv);
-        let at = self
-            .lookup
-            .binary_search_by_key(&v, |e| e.0)
-            .expect_err("variable already in box");
-        self.lookup.insert(at, (v, slot));
-        slot as usize
-    }
-
-    /// Drops every variable with slot ≥ `n` (frames pop in LIFO order, so
-    /// the variables a frame introduced occupy the tail).
-    pub(crate) fn truncate_vars(&mut self, n: usize) {
-        self.vars.truncate(n);
-        self.ivs.truncate(n);
-        self.lookup.retain(|e| (e.1 as usize) < n);
-    }
-
     pub(crate) fn get(&self, v: VarId) -> Interval {
         self.ivs[self.slot(v)]
     }
@@ -1498,11 +1151,11 @@ impl VarBox {
         }
     }
 
-    pub(crate) fn clear_changed(&mut self) {
+    fn clear_changed(&mut self) {
         self.changed = false;
     }
 
-    pub(crate) fn take_changed(&mut self) -> bool {
+    fn take_changed(&mut self) -> bool {
         self.changed
     }
 
@@ -1543,16 +1196,11 @@ impl VarBox {
     }
 }
 
-pub(crate) struct EmptyDomain;
+struct EmptyDomain;
 
 /// The starting interval of a variable: `[0, 1]` for booleans, the
 /// configured (or default) domain for integers.
-pub(crate) fn initial_interval(
-    pool: &TermPool,
-    v: VarId,
-    domains: &Domains,
-    default: Interval,
-) -> Interval {
+fn initial_interval(pool: &TermPool, v: VarId, domains: &Domains, default: Interval) -> Interval {
     match pool.var_sort(v) {
         Sort::Bool => Interval::of(0, 1),
         Sort::Int => domains.get(v).unwrap_or(default),
@@ -1652,7 +1300,7 @@ fn cmp_enclosures(op: CmpOp, a: Interval, b: Interval) -> Bool3 {
 
 /// Backward contraction: require the boolean term `t` to have truth value
 /// `required`, narrowing variable domains in `vbox`.
-pub(crate) fn contract_bool(
+fn contract_bool(
     pool: &TermPool,
     t: TermId,
     required: bool,
@@ -1899,104 +1547,6 @@ mod tests {
         let mut d = Domains::new();
         d.bound(xv, -1000, 1000);
         assert!(s.check(&p, &[c1, c2], &d).is_unsat());
-    }
-
-    #[test]
-    fn refute_root_catches_static_contradictions() {
-        let (mut p, s) = setup();
-        let xv = p.var("x", Sort::Int);
-        let x = p.var_term(xv);
-        let five = p.int(5);
-        let mut d = Domains::new();
-        d.bound(xv, -1000, 1000);
-        // Constant false.
-        let f = p.ff();
-        assert!(s.refute_root(&p, &[f], &d));
-        // Complementary pair (literal negation).
-        let g = p.gt(x, five);
-        let ng = p.not(g);
-        assert!(s.refute_root(&p, &[g, ng], &d));
-        // Contraction-refutable: x < 5 ∧ x > 5.
-        let l = p.lt(x, five);
-        assert!(s.refute_root(&p, &[l, g], &d));
-        // Domain-refutable: x > 1000 with x ∈ [-1000, 1000].
-        let k = p.int(1000);
-        let over = p.gt(x, k);
-        assert!(s.refute_root(&p, &[over], &d));
-        // A satisfiable query is never refuted.
-        assert!(!s.refute_root(&p, &[g], &d));
-        assert!(!s.refute_root(&p, &[], &d));
-    }
-
-    #[test]
-    fn refute_root_implies_check_unsat() {
-        // The one-way guarantee, exercised over a mixed batch including
-        // queries the root pass cannot decide (nonlinear, needs branching):
-        // whenever refute_root fires, check agrees with Unsat; refute_root
-        // spends no queries and no nodes.
-        let (mut p, mut s) = setup();
-        let xv = p.var("x", Sort::Int);
-        let yv = p.var("y", Sort::Int);
-        let x = p.var_term(xv);
-        let y = p.var_term(yv);
-        let mut d = Domains::new();
-        d.bound(xv, -50, 50);
-        d.bound(yv, -50, 50);
-        let c0 = p.int(0);
-        let c5 = p.int(5);
-        let c100 = p.int(100);
-        let xy = p.mul(x, y);
-        let queries: Vec<Vec<TermId>> = vec![
-            vec![p.eq(xy, c5)],                // sat (1*5)
-            vec![p.gt(x, c100)],               // unsat by domain
-            vec![p.lt(x, c0), p.gt(x, c0)],    // unsat by contraction
-            vec![p.eq(xy, c100), p.eq(x, c0)], // unsat, needs propagation
-            vec![p.ge(x, c0), p.le(x, c100)],  // sat
-        ];
-        let mut fired = 0;
-        for q in &queries {
-            if s.refute_root(&p, q, &d) {
-                fired += 1;
-                assert!(
-                    s.check(&p, q, &d).is_unsat(),
-                    "refute_root disagreed on {q:?}"
-                );
-            }
-        }
-        assert!(
-            fired >= 2,
-            "refute_root never fired on the refutable queries"
-        );
-        // refute_root itself never touched the statistics.
-        let fresh = Solver::new(SolverConfig::default());
-        fresh.refute_root(&p, &queries[1], &d);
-        assert_eq!(fresh.stats().queries, 0);
-        assert_eq!(fresh.stats().nodes, 0);
-    }
-
-    #[test]
-    fn refute_root_respects_zero_node_budget() {
-        // With max_nodes == 0 `check` returns Unknown before the root pass;
-        // refute_root must not claim Unsat for queries beyond the pre-search
-        // fast paths (which `check` still answers).
-        let mut p = TermPool::new();
-        let xv = p.var("x", Sort::Int);
-        let x = p.var_term(xv);
-        let five = p.int(5);
-        let l = p.lt(x, five);
-        let g = p.gt(x, five);
-        let mut d = Domains::new();
-        d.bound(xv, -1000, 1000);
-        let s = Solver::new(SolverConfig {
-            max_nodes: 0,
-            ..SolverConfig::default()
-        });
-        assert!(!s.refute_root(&p, &[l, g], &d));
-        // The fast paths still fire (check answers those without a search).
-        let f = p.ff();
-        assert!(s.refute_root(&p, &[f], &d));
-        let ng = p.not(g);
-        assert!(s.refute_root(&p, &[g, ng], &d));
     }
 
     #[test]

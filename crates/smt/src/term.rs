@@ -788,6 +788,25 @@ impl TermPool {
         }
     }
 
+    /// Rolls the pool back to its first `len` terms: every term with id
+    /// `>= len` leaves the term table and the hash-consing index, so
+    /// interning the same content again yields a fresh id. The variable
+    /// table is kept, so a variable interned since `len` keeps its
+    /// `VarId`. A no-op when the pool has at most `len` terms.
+    ///
+    /// The caller guarantees that nothing still holds a dropped id. For a
+    /// pool shared with a [`crate::Solver`] that means the solver answered
+    /// no query since the pool was `len` terms long: its dependency,
+    /// digest and query-cache tables only ever see a pool through a query.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.terms.len() {
+            return;
+        }
+        for data in self.terms.drain(len..) {
+            self.dedup.remove(&data);
+        }
+    }
+
     /// Whether `base` is a prefix of this pool: every variable and term of
     /// `base` exists here at the same index with the same content. A pool
     /// grown from `base` by interning always satisfies this, so a snapshot
@@ -1011,6 +1030,47 @@ mod tests {
         let s1 = p.add(x, one_a);
         let s2 = p.add(x, one_b);
         assert_eq!(s1, s2);
+    }
+
+    #[test]
+    fn truncate_rolls_back_to_the_mark() {
+        let mut p = TermPool::new();
+        let x = p.named_var("x", Sort::Int);
+        let one = p.int(1);
+        let sum = p.add(x, one);
+        let before = p.clone();
+        let mark = p.len();
+        let two = p.int(2);
+        p.mul(sum, two);
+        assert!(p.len() > mark);
+        p.truncate(mark);
+        assert!(p.is_extension_of(&before) && before.is_extension_of(&p));
+        // Pre-mark content keeps its id; rolled-back content is interned
+        // afresh at the next free id, never served from a stale entry.
+        assert_eq!(p.add(x, one), sum);
+        let two_again = p.int(2);
+        assert_eq!(two_again.index(), mark);
+        let again = p.mul(sum, two);
+        assert_eq!(again.index(), mark + 1);
+        assert_eq!(p.data(again), TermData::Arith(ArithOp::Mul, sum, two_again));
+        // Truncating past the end changes nothing.
+        let len = p.len();
+        p.truncate(len + 5);
+        assert_eq!(p.len(), len);
+    }
+
+    #[test]
+    fn truncate_keeps_variables_interned_after_the_mark() {
+        let mut p = TermPool::new();
+        p.named_var("x", Sort::Int);
+        let before = p.clone();
+        let mark = p.len();
+        let hv = p.var("__hole_0", Sort::Int);
+        p.var_term(hv);
+        p.truncate(mark);
+        assert!(p.is_extension_of(&before));
+        assert_eq!(p.find_var("__hole_0"), Some(hv));
+        assert_eq!(p.var("__hole_0", Sort::Int), hv);
     }
 
     #[test]

@@ -507,25 +507,27 @@ pub fn write_solver_stats(w: &mut ByteWriter, s: &SolverStats) {
     w.u64(s.nodes);
     w.u64(s.cache_hits);
     w.u64(s.cache_misses);
-    w.u64(s.frames_pushed);
-    w.u64(s.trail_restores);
-    w.u64(s.batched_queries);
     w.u64(s.fleet_hits);
     w.u64(s.fleet_misses);
     w.u64(s.fleet_stores);
     w.u64(s.fleet_load_errors);
 }
 
-/// Reads [`SolverStats`] counters. With `legacy`, reads the layout of
-/// snapshot formats 3 and 4, which interleave three counters of removed
-/// query layers (UNSAT-prefix short-circuits, no-good hits and fleet
-/// no-good hits); those are decoded and discarded.
-pub fn read_solver_stats(r: &mut ByteReader<'_>, legacy: bool) -> Result<SolverStats, WireError> {
-    let retired = |r: &mut ByteReader<'_>, what: &'static str| -> Result<(), WireError> {
-        if legacy {
-            r.u64(what)?;
+/// Reads [`SolverStats`] counters written in snapshot format `format`.
+/// Older formats interleave counters of removed query layers, which are
+/// decoded, bounds-checked and discarded: formats 3 and 4 carry three of
+/// the UNSAT-prefix store and no-good learning (prefix short-circuits,
+/// no-good hits, fleet no-good hits), and formats 3 to 5 three of
+/// assertion frames (frames pushed, trail restores, batched queries).
+pub fn read_solver_stats(r: &mut ByteReader<'_>, format: u32) -> Result<SolverStats, WireError> {
+    let query_layers = format < 5;
+    let frames = format < 6;
+    let retired = |r: &mut ByteReader<'_>, present: bool, what: &'static str| {
+        if present {
+            r.u64(what)
+        } else {
+            Ok(0)
         }
-        Ok(())
     };
     let queries = r.u64("stats queries")?;
     let sat = r.u64("stats sat")?;
@@ -534,14 +536,19 @@ pub fn read_solver_stats(r: &mut ByteReader<'_>, legacy: bool) -> Result<SolverS
     let nodes = r.u64("stats nodes")?;
     let cache_hits = r.u64("stats cache hits")?;
     let cache_misses = r.u64("stats cache misses")?;
-    retired(r, "stats prefix short circuits")?;
-    let frames_pushed = r.u64("stats frames pushed")?;
-    let trail_restores = r.u64("stats trail restores")?;
-    retired(r, "stats no-good hits")?;
-    let batched_queries = r.u64("stats batched queries")?;
+    retired(r, query_layers, "stats prefix short circuits")?;
+    retired(r, frames, "stats frames pushed")?;
+    retired(r, frames, "stats trail restores")?;
+    retired(r, query_layers, "stats no-good hits")?;
+    // Every batched query also counted in `queries`.
+    if retired(r, frames, "stats batched queries")? > queries {
+        return Err(WireError::Invariant {
+            what: "batched queries exceed queries",
+        });
+    }
     let fleet_hits = r.u64("stats fleet hits")?;
     let fleet_misses = r.u64("stats fleet misses")?;
-    retired(r, "stats fleet no-good hits")?;
+    retired(r, query_layers, "stats fleet no-good hits")?;
     Ok(SolverStats {
         queries,
         sat,
@@ -550,9 +557,6 @@ pub fn read_solver_stats(r: &mut ByteReader<'_>, legacy: bool) -> Result<SolverS
         nodes,
         cache_hits,
         cache_misses,
-        frames_pushed,
-        trail_restores,
-        batched_queries,
         fleet_hits,
         fleet_misses,
         fleet_stores: r.u64("stats fleet stores")?,
@@ -770,9 +774,6 @@ mod tests {
             nodes: 999,
             cache_hits: 3,
             cache_misses: 7,
-            frames_pushed: 21,
-            trail_restores: 34,
-            batched_queries: 6,
             fleet_hits: 11,
             fleet_misses: 12,
             fleet_stores: 14,
@@ -781,39 +782,52 @@ mod tests {
         let mut w = ByteWriter::new();
         write_solver_stats(&mut w, &s);
         let bytes = w.into_bytes();
-        let s2 = read_solver_stats(&mut ByteReader::new(&bytes), false).unwrap();
+        let s2 = read_solver_stats(&mut ByteReader::new(&bytes), 6).unwrap();
         assert_eq!(format!("{s:?}"), format!("{s2:?}"));
     }
 
     #[test]
     fn legacy_solver_stats_drop_the_retired_counters() {
-        // The format-3/4 layout: 17 counters, the retired three at
-        // positions 7, 10 and 14.
-        let mut w = ByteWriter::new();
-        for v in 1..=17u64 {
-            w.u64(v);
+        // The format-3/4 layout has 17 counters, the query-layer three at
+        // positions 7, 10 and 14 and the frame three at 8, 9 and 11; the
+        // format-5 layout has 14, the frame three at 7, 8 and 9.
+        let read = |values: &[u64], format: u32| {
+            let mut w = ByteWriter::new();
+            for &v in values {
+                w.u64(v);
+            }
+            let bytes = w.into_bytes();
+            let mut r = ByteReader::new(&bytes);
+            let s = read_solver_stats(&mut r, format);
+            assert!(s.is_err() || r.is_empty(), "format {format}");
+            s.map(|s| {
+                [
+                    s.queries,
+                    s.sat,
+                    s.unsat,
+                    s.unknown,
+                    s.nodes,
+                    s.cache_hits,
+                    s.cache_misses,
+                    s.fleet_hits,
+                    s.fleet_misses,
+                    s.fleet_stores,
+                    s.fleet_load_errors,
+                ]
+            })
+        };
+        let kept = [100, 2, 3, 4, 5, 6, 7, 13, 14, 16, 17];
+        let v4: Vec<u64> = (1..=17).map(|v| if v == 1 { 100 } else { v }).collect();
+        for format in [3, 4] {
+            assert_eq!(read(&v4, format).unwrap(), kept);
         }
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let s = read_solver_stats(&mut r, true).unwrap();
-        assert!(r.is_empty());
-        let got = [
-            s.queries,
-            s.sat,
-            s.unsat,
-            s.unknown,
-            s.nodes,
-            s.cache_hits,
-            s.cache_misses,
-            s.frames_pushed,
-            s.trail_restores,
-            s.batched_queries,
-            s.fleet_hits,
-            s.fleet_misses,
-            s.fleet_stores,
-            s.fleet_load_errors,
-        ];
-        assert_eq!(got, [1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 13, 14, 16, 17]);
+        let v5 = [100, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 14, 16, 17];
+        assert_eq!(read(&v5, 5).unwrap(), kept);
+        // A batched-query count above the query count is no stats block
+        // any build wrote.
+        let mut bad = v5;
+        bad[9] = 101;
+        assert!(matches!(read(&bad, 5), Err(WireError::Invariant { .. })));
     }
 
     #[test]
