@@ -1,11 +1,13 @@
 //! The concolic executor: runs a subject program on a concrete input while
 //! building the symbolic path constraint, injecting the patch formula `ψ_ρ`
 //! at the hole, and capturing the specification `σ` at the bug location.
+//! The run itself is `cpr-lang`'s evaluator; this module supplies the
+//! shadow that builds the terms and records the path.
 
 use std::collections::HashMap;
 
-use cpr_lang::{ast::FunDecl, BinOp, Builtin, Expr, HoleKind, Outcome, Program, Stmt, Type, UnOp};
-use cpr_smt::{Model, Sort, TermId, TermPool, Value, VarId};
+use cpr_lang::{Env, Expr, HoleKind, Interp, Outcome, Program, Shadow, TermOp};
+use cpr_smt::{Model, Sort, TermData, TermId, TermPool, Value, VarId};
 
 /// The patch inserted into the program's hole during a concolic run.
 ///
@@ -220,74 +222,18 @@ fn substitute_theta(
     pool.substitute(theta, &map)
 }
 
-/// The concolic executor. Holds budgets; all per-run state is local.
+/// The concolic executor: the subject-language evaluator run with a shadow
+/// that builds terms. Holds budgets; all per-run state is local.
 #[derive(Debug, Clone)]
 pub struct ConcolicExecutor {
-    max_steps: u64,
+    interp: Interp,
     max_path_len: usize,
 }
 
 impl Default for ConcolicExecutor {
     fn default() -> Self {
-        ConcolicExecutor {
-            max_steps: 100_000,
-            max_path_len: 512,
-        }
+        Self::with_budgets(100_000, 512)
     }
-}
-
-#[derive(Debug, Clone)]
-enum Slot {
-    Int { c: i64, s: TermId },
-    Bool { c: bool, s: TermId },
-    Array(Vec<(i64, TermId)>),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct DualInt {
-    c: i64,
-    s: TermId,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct DualBool {
-    c: bool,
-    s: TermId,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Dual {
-    Int(DualInt),
-    Bool(DualBool),
-}
-
-enum Flow {
-    Normal,
-    Return(DualInt),
-    Stop(Outcome),
-}
-
-struct ExecState<'a> {
-    pool: &'a mut TermPool,
-    env: HashMap<String, Slot>,
-    functions: &'a [FunDecl],
-    patch: Option<&'a HolePatch>,
-    /// The patch's θ variables with their names, resolved once per run.
-    theta_vars: Vec<(VarId, String)>,
-    /// Names each open block declared, innermost last (see [`exec_block`]).
-    declared: Vec<String>,
-    path: Vec<PathStep>,
-    sigma: Option<TermId>,
-    hit_patch: bool,
-    hit_bug: bool,
-    steps: u64,
-    max_steps: u64,
-    max_path_len: usize,
-    observations: Vec<HoleObservation>,
-    asserts: Vec<TermId>,
-    /// Observation index produced by the most recent hole evaluation, to be
-    /// attached to the branch constraint recorded right after.
-    pending_obs: Option<usize>,
 }
 
 impl ConcolicExecutor {
@@ -299,7 +245,7 @@ impl ConcolicExecutor {
     /// Creates an executor with custom step and path-length budgets.
     pub fn with_budgets(max_steps: u64, max_path_len: usize) -> Self {
         ConcolicExecutor {
-            max_steps,
+            interp: Interp::with_max_steps(max_steps),
             max_path_len,
         }
     }
@@ -325,60 +271,65 @@ impl ConcolicExecutor {
         inputs: &Model,
         patch: Option<&HolePatch>,
     ) -> ConcolicResult {
-        let mut env = HashMap::new();
         let mut input_model = Model::new();
+        let mut values = Vec::with_capacity(program.inputs.len());
         for decl in &program.inputs {
             let var = pool.var(&decl.name, Sort::Int);
             let sym = pool.var_term(var);
             let c = inputs.int(var).unwrap_or(decl.lo);
             input_model.set(var, c);
-            env.insert(decl.name.clone(), Slot::Int { c, s: sym });
+            values.push((c, sym));
         }
         let theta_vars = patch.map_or_else(Vec::new, |p| named_vars(pool, p.theta));
-        let mut st = ExecState {
+        let mut tracker = Tracker {
             pool,
-            env,
-            functions: &program.functions,
             patch,
             theta_vars,
-            declared: Vec::new(),
             path: Vec::new(),
-            sigma: None,
-            hit_patch: false,
-            hit_bug: false,
-            steps: 0,
-            max_steps: self.max_steps,
             max_path_len: self.max_path_len,
+            sigma: None,
             observations: Vec::new(),
             asserts: Vec::new(),
             pending_obs: None,
         };
-        let outcome = match exec_stmts(&program.body, &mut st) {
-            Ok(Flow::Return(v)) => Outcome::Returned(v.c),
-            Ok(Flow::Normal) => Outcome::Returned(0),
-            Ok(Flow::Stop(o)) => o,
-            Err(o) => o,
-        };
+        let run = self.interp.evaluate(program, values, &mut tracker);
         ConcolicResult {
-            path: st.path,
-            sigma: st.sigma,
-            hit_patch: st.hit_patch,
-            hit_bug: st.hit_bug,
-            outcome,
+            path: tracker.path,
+            sigma: tracker.sigma,
+            hit_patch: run.patch_hits > 0,
+            hit_bug: run.bug_hits > 0,
+            outcome: run.outcome,
             inputs: input_model,
-            steps: st.steps,
-            observations: st.observations,
-            asserts: st.asserts,
+            steps: run.steps,
+            observations: tracker.observations,
+            asserts: tracker.asserts,
         }
     }
 }
 
-impl<'a> ExecState<'a> {
+/// The shadow of a concolic run: each value's term over the inputs `X` and
+/// the patch parameters `A`, and the path, hole observations, `σ` and
+/// assertions the run records.
+struct Tracker<'a> {
+    pool: &'a mut TermPool,
+    patch: Option<&'a HolePatch>,
+    /// The patch's θ variables with their names, resolved once per run.
+    theta_vars: Vec<(VarId, String)>,
+    path: Vec<PathStep>,
+    max_path_len: usize,
+    sigma: Option<TermId>,
+    observations: Vec<HoleObservation>,
+    asserts: Vec<TermId>,
+    /// Observation index produced by the most recent hole evaluation, to be
+    /// attached to the branch constraint recorded right after.
+    pending_obs: Option<usize>,
+}
+
+impl Tracker<'_> {
     /// Records a branch constraint. `polarity` is the direction taken; when
     /// the condition contained the patch hole, the pending observation is
     /// attached so Reduce can re-target the step at other patches.
     fn record(&mut self, constraint: TermId, polarity: bool, hole_in_cond: bool) {
-        use cpr_smt::TermData;
         let patch_obs = if hole_in_cond {
             self.pending_obs.take().map(|i| (i, polarity))
         } else {
@@ -395,495 +346,107 @@ impl<'a> ExecState<'a> {
             });
         }
     }
+}
 
-    /// Binds `name` to `slot`, recording the name as declared by the
-    /// innermost open block when it is new to the environment.
-    fn bind(&mut self, name: &str, slot: Slot) {
-        if let Some(old) = self.env.get_mut(name) {
-            *old = slot;
-        } else {
-            self.env.insert(name.to_owned(), slot);
-            self.declared.push(name.to_owned());
+impl Shadow for Tracker<'_> {
+    type Term = TermId;
+    const BUILDS_TERMS: bool = true;
+
+    fn term(&mut self, op: TermOp<TermId>) -> TermId {
+        let pool = &mut *self.pool;
+        match op {
+            TermOp::Int(v) => pool.int(v),
+            TermOp::Bool(b) => pool.bool(b),
+            TermOp::Neg(a) => pool.neg(a),
+            TermOp::Not(a) => pool.not(a),
+            TermOp::And(a, b) => pool.and(a, b),
+            TermOp::Or(a, b) => pool.or(a, b),
+            TermOp::Arith(op, a, b) => pool.arith(op, a, b),
+            TermOp::Cmp(op, a, b) => pool.cmp(op, a, b),
+            TermOp::Ite(c, a, b) => pool.ite(c, a, b),
         }
     }
 
-    fn budget(&mut self) -> Result<(), Outcome> {
-        self.steps += 1;
-        if self.steps > self.max_steps {
-            Err(Outcome::StepLimit)
-        } else {
-            Ok(())
-        }
+    fn branch(&mut self, cond: &Expr, term: TermId, taken: bool) {
+        let hole = cond.contains_hole();
+        let constraint = if taken { term } else { self.pool.not(term) };
+        self.record(constraint, taken, hole);
     }
-}
 
-fn exec_stmts(stmts: &[Stmt], st: &mut ExecState<'_>) -> Result<Flow, Outcome> {
-    for s in stmts {
-        match exec_stmt(s, st)? {
-            Flow::Normal => {}
-            other => return Ok(other),
-        }
+    /// Concretizes the index (standard concolic treatment of memory): pins
+    /// its term to its concrete value on this path.
+    fn pin(&mut self, term: TermId, index: i64) {
+        let c = self.pool.int(index);
+        let pin = self.pool.eq(term, c);
+        self.record(pin, true, false);
     }
-    Ok(Flow::Normal)
-}
 
-/// Executes a block body with block-scoped declarations: the names the
-/// block adds to the environment are removed afterwards, while an outer
-/// name the block redeclares or assigns keeps the value the block left.
-/// Costs O(names the block adds), not O(environment).
-fn exec_block(stmts: &[Stmt], st: &mut ExecState<'_>) -> Result<Flow, Outcome> {
-    let mark = st.declared.len();
-    let flow = exec_stmts(stmts, st);
-    for name in st.declared.drain(mark..) {
-        st.env.remove(&name);
-    }
-    flow
-}
+    fn hole(&mut self, kind: HoleKind, env: &Env<TermId>) -> Option<(Value, TermId)> {
+        let patch = self.patch?;
+        // Snapshot the symbolic environment: this observation is the
+        // first-order encoding of ψ_ρ and lets Reduce re-target the path at
+        // every patch in the pool.
+        let subst_by_name: HashMap<String, TermId> = env
+            .scalars()
+            .map(|(name, t)| (name.to_owned(), t))
+            .collect();
 
-fn exec_stmt(stmt: &Stmt, st: &mut ExecState<'_>) -> Result<Flow, Outcome> {
-    st.budget()?;
-    match stmt {
-        Stmt::Decl { name, ty, init, .. } => {
-            let slot = match (ty, init) {
-                (Type::IntArray(n), _) => {
-                    let zero = st.pool.int(0);
-                    Slot::Array(vec![(0, zero); *n])
-                }
-                (Type::Int, Some(e)) => {
-                    let v = eval_int(e, st)?;
-                    Slot::Int { c: v.c, s: v.s }
-                }
-                (Type::Int, None) => {
-                    let zero = st.pool.int(0);
-                    Slot::Int { c: 0, s: zero }
-                }
-                (Type::Bool, Some(e)) => {
-                    let v = eval_bool(e, st)?;
-                    Slot::Bool { c: v.c, s: v.s }
-                }
-                (Type::Bool, None) => {
-                    let f = st.pool.ff();
-                    Slot::Bool { c: false, s: f }
-                }
+        // Symbolic value of θ_ρ0 at this point: program variables replaced
+        // by their symbolic values, parameters left free. Their concrete
+        // values drive the concrete evaluation.
+        let mut subst: HashMap<VarId, TermId> = HashMap::new();
+        let mut concrete_vars: Vec<(VarId, Value)> = Vec::new();
+        for (v, name) in &self.theta_vars {
+            let Some((c, s)) = env.scalar(name) else {
+                continue;
             };
-            st.bind(name, slot);
-            Ok(Flow::Normal)
+            subst.insert(*v, s);
+            concrete_vars.push((*v, Value::Int(c)));
         }
-        Stmt::Assign { name, value, .. } => {
-            let slot = match st.env.get(name) {
-                Some(Slot::Bool { .. }) => {
-                    let v = eval_bool(value, st)?;
-                    Slot::Bool { c: v.c, s: v.s }
-                }
-                _ => {
-                    let v = eval_int(value, st)?;
-                    Slot::Int { c: v.c, s: v.s }
-                }
-            };
-            st.bind(name, slot);
-            Ok(Flow::Normal)
-        }
-        Stmt::AssignIndex {
-            name,
-            index,
-            value,
-            span,
-        } => {
-            let idx = eval_int(index, st)?;
-            let val = eval_int(value, st)?;
-            // Concretize the index (standard concolic treatment of memory):
-            // pin the symbolic index to its concrete value on this path.
-            let idx_c = st.pool.int(idx.c);
-            let pin = st.pool.eq(idx.s, idx_c);
-            st.record(pin, true, false);
-            match st.env.get_mut(name) {
-                Some(Slot::Array(arr)) => {
-                    if idx.c < 0 || idx.c as usize >= arr.len() {
-                        return Err(Outcome::Crash {
-                            kind: cpr_lang::CrashKind::IndexOutOfBounds,
-                            span: *span,
-                        });
-                    }
-                    arr[idx.c as usize] = (val.c, val.s);
-                    Ok(Flow::Normal)
-                }
-                _ => unreachable!("type checker guarantees array target"),
-            }
-        }
-        Stmt::If {
-            cond,
-            then_body,
-            else_body,
-            ..
-        } => {
-            let c = eval_bool(cond, st)?;
-            let hole = cond.contains_hole();
-            if c.c {
-                st.record(c.s, true, hole);
-                exec_block(then_body, st)
-            } else {
-                let neg = st.pool.not(c.s);
-                st.record(neg, false, hole);
-                exec_block(else_body, st)
-            }
-        }
-        Stmt::While { cond, body, .. } => {
-            loop {
-                st.budget()?;
-                let c = eval_bool(cond, st)?;
-                let hole = cond.contains_hole();
-                if c.c {
-                    st.record(c.s, true, hole);
-                    match exec_block(body, st)? {
-                        Flow::Normal => {}
-                        other => return Ok(other),
-                    }
-                } else {
-                    let neg = st.pool.not(c.s);
-                    st.record(neg, false, hole);
-                    break;
-                }
-            }
-            Ok(Flow::Normal)
-        }
-        Stmt::Return { value, .. } => {
-            let v = eval_int(value, st)?;
-            Ok(Flow::Return(v))
-        }
-        Stmt::Assert { cond, span } => {
-            let c = eval_bool(cond, st)?;
-            st.asserts.push(c.s);
-            if c.c {
-                Ok(Flow::Normal)
-            } else {
-                Ok(Flow::Stop(Outcome::AssertFailed { span: *span }))
-            }
-        }
-        Stmt::Assume { cond, .. } => {
-            let c = eval_bool(cond, st)?;
-            if c.c {
-                st.record(c.s, true, cond.contains_hole());
-                Ok(Flow::Normal)
-            } else {
-                Ok(Flow::Stop(Outcome::AssumeFailed))
-            }
-        }
-        Stmt::Bug { name, spec, span } => {
-            st.hit_bug = true;
-            let c = eval_bool(spec, st)?;
-            // Capture σ symbolically regardless of the concrete verdict.
-            st.sigma = Some(match st.sigma {
-                None => c.s,
-                Some(prev) => st.pool.and(prev, c.s),
-            });
-            if c.c {
-                Ok(Flow::Normal)
-            } else {
-                Ok(Flow::Stop(Outcome::SpecViolated {
-                    bug: name.clone(),
-                    span: *span,
-                }))
-            }
-        }
-    }
-}
+        let psi = self.pool.substitute(patch.theta, &subst);
 
-fn eval_int(e: &Expr, st: &mut ExecState<'_>) -> Result<DualInt, Outcome> {
-    match eval(e, st)? {
-        Dual::Int(v) => Ok(v),
-        Dual::Bool(_) => unreachable!("type checker guarantees int expression"),
-    }
-}
-
-fn eval_bool(e: &Expr, st: &mut ExecState<'_>) -> Result<DualBool, Outcome> {
-    match eval(e, st)? {
-        Dual::Bool(v) => Ok(v),
-        Dual::Int(_) => unreachable!("type checker guarantees bool expression"),
-    }
-}
-
-fn eval(e: &Expr, st: &mut ExecState<'_>) -> Result<Dual, Outcome> {
-    match e {
-        Expr::Int(v, _) => {
-            let s = st.pool.int(*v);
-            Ok(Dual::Int(DualInt { c: *v, s }))
-        }
-        Expr::Bool(b, _) => {
-            let s = st.pool.bool(*b);
-            Ok(Dual::Bool(DualBool { c: *b, s }))
-        }
-        Expr::Var(name, _) => match st.env.get(name) {
-            Some(Slot::Int { c, s }) => Ok(Dual::Int(DualInt { c: *c, s: *s })),
-            Some(Slot::Bool { c, s }) => Ok(Dual::Bool(DualBool { c: *c, s: *s })),
-            _ => unreachable!("type checker guarantees declared scalar"),
-        },
-        Expr::Index(name, idx, span) => {
-            let i = eval_int(idx, st)?;
-            let idx_c = st.pool.int(i.c);
-            let pin = st.pool.eq(i.s, idx_c);
-            st.record(pin, true, false);
-            match st.env.get(name) {
-                Some(Slot::Array(arr)) => {
-                    if i.c < 0 || i.c as usize >= arr.len() {
-                        Err(Outcome::Crash {
-                            kind: cpr_lang::CrashKind::IndexOutOfBounds,
-                            span: *span,
-                        })
-                    } else {
-                        let (c, s) = arr[i.c as usize];
-                        Ok(Dual::Int(DualInt { c, s }))
-                    }
-                }
-                _ => unreachable!("type checker guarantees array"),
-            }
-        }
-        Expr::Unary(UnOp::Neg, inner, _) => {
-            let v = eval_int(inner, st)?;
-            let s = st.pool.neg(v.s);
-            Ok(Dual::Int(DualInt {
-                c: v.c.saturating_neg(),
-                s,
-            }))
-        }
-        Expr::Unary(UnOp::Not, inner, _) => {
-            let v = eval_bool(inner, st)?;
-            let s = st.pool.not(v.s);
-            Ok(Dual::Bool(DualBool { c: !v.c, s }))
-        }
-        Expr::Binary(op, a, b, span) => {
-            if matches!(op, BinOp::And | BinOp::Or) {
-                // Symbolically non-short-circuit (term construction is
-                // total); concretely both operands are pure, so evaluating
-                // the right side cannot change observable state except via
-                // crashes, which the symbolic term algebra totalizes.
-                let x = eval_bool(a, st)?;
-                let y = eval_bool(b, st)?;
-                let (c, s) = match op {
-                    BinOp::And => (x.c && y.c, st.pool.and(x.s, y.s)),
-                    BinOp::Or => (x.c || y.c, st.pool.or(x.s, y.s)),
-                    _ => unreachable!(),
-                };
-                return Ok(Dual::Bool(DualBool { c, s }));
-            }
-            let x = eval_int(a, st)?;
-            let y = eval_int(b, st)?;
-            match op {
-                BinOp::Add => Ok(Dual::Int(DualInt {
-                    c: x.c.saturating_add(y.c),
-                    s: st.pool.add(x.s, y.s),
-                })),
-                BinOp::Sub => Ok(Dual::Int(DualInt {
-                    c: x.c.saturating_sub(y.c),
-                    s: st.pool.sub(x.s, y.s),
-                })),
-                BinOp::Mul => Ok(Dual::Int(DualInt {
-                    c: x.c.saturating_mul(y.c),
-                    s: st.pool.mul(x.s, y.s),
-                })),
-                BinOp::Div => {
-                    if y.c == 0 {
-                        return Err(Outcome::Crash {
-                            kind: cpr_lang::CrashKind::DivByZero,
-                            span: *span,
-                        });
-                    }
-                    Ok(Dual::Int(DualInt {
-                        c: x.c.wrapping_div(y.c),
-                        s: st.pool.div(x.s, y.s),
-                    }))
-                }
-                BinOp::Rem => {
-                    if y.c == 0 {
-                        return Err(Outcome::Crash {
-                            kind: cpr_lang::CrashKind::RemByZero,
-                            span: *span,
-                        });
-                    }
-                    Ok(Dual::Int(DualInt {
-                        c: x.c.wrapping_rem(y.c),
-                        s: st.pool.rem(x.s, y.s),
-                    }))
-                }
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    let cmp_op = match op {
-                        BinOp::Eq => cpr_smt::CmpOp::Eq,
-                        BinOp::Ne => cpr_smt::CmpOp::Ne,
-                        BinOp::Lt => cpr_smt::CmpOp::Lt,
-                        BinOp::Le => cpr_smt::CmpOp::Le,
-                        BinOp::Gt => cpr_smt::CmpOp::Gt,
-                        _ => cpr_smt::CmpOp::Ge,
-                    };
-                    let c = cmp_op.apply(x.c, y.c);
-                    let s = st.pool.cmp(cmp_op, x.s, y.s);
-                    Ok(Dual::Bool(DualBool { c, s }))
-                }
-                BinOp::And | BinOp::Or => unreachable!("handled above"),
-            }
-        }
-        Expr::Call(builtin, args, span) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_int(a, st)?);
-            }
-            match builtin {
-                Builtin::Min => {
-                    let cond = st.pool.le(vals[0].s, vals[1].s);
-                    let s = st.pool.ite(cond, vals[0].s, vals[1].s);
-                    Ok(Dual::Int(DualInt {
-                        c: vals[0].c.min(vals[1].c),
-                        s,
-                    }))
-                }
-                Builtin::Max => {
-                    let cond = st.pool.ge(vals[0].s, vals[1].s);
-                    let s = st.pool.ite(cond, vals[0].s, vals[1].s);
-                    Ok(Dual::Int(DualInt {
-                        c: vals[0].c.max(vals[1].c),
-                        s,
-                    }))
-                }
-                Builtin::Abs => {
-                    let zero = st.pool.int(0);
-                    let cond = st.pool.ge(vals[0].s, zero);
-                    let negated = st.pool.neg(vals[0].s);
-                    let s = st.pool.ite(cond, vals[0].s, negated);
-                    Ok(Dual::Int(DualInt {
-                        c: vals[0].c.saturating_abs(),
-                        s,
-                    }))
-                }
-                Builtin::Roundup => {
-                    let (a, b) = (vals[0], vals[1]);
-                    if b.c == 0 {
-                        return Err(Outcome::Crash {
-                            kind: cpr_lang::CrashKind::RoundupByZero,
-                            span: *span,
-                        });
-                    }
-                    // ((a + b - 1) / b) * b with the pool's total division.
-                    let one = st.pool.int(1);
-                    let ab = st.pool.add(a.s, b.s);
-                    let ab1 = st.pool.sub(ab, one);
-                    let q = st.pool.div(ab1, b.s);
-                    let s = st.pool.mul(q, b.s);
-                    Ok(Dual::Int(DualInt {
-                        c: ((a.c + b.c - 1) / b.c) * b.c,
-                        s,
-                    }))
-                }
-            }
-        }
-        Expr::UserCall(name, args, _) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_int(a, st)?);
-            }
-            let f = st
-                .functions
+        // Concrete evaluation: parameters from the representative binding,
+        // program variables from the concrete environment.
+        let concrete = patch.params.eval_overlay(self.pool, patch.theta, |v| {
+            concrete_vars
                 .iter()
-                .find(|f| f.name == *name)
-                .expect("type checker guarantees declared function");
-            // Pure call in a fresh scope; branch constraints inside the
-            // function body are recorded into the caller's path (the
-            // partition includes the callee's control flow, exactly as if
-            // the call were inlined).
-            let mut callee_env: HashMap<String, Slot> = HashMap::new();
-            for (p, v) in f.params.iter().zip(vals) {
-                callee_env.insert(p.clone(), Slot::Int { c: v.c, s: v.s });
+                .find(|&&(w, _)| w == v)
+                .map(|&(_, val)| val)
+        });
+        let obs_idx = self.observations.len();
+        // An expression hole routes its value through a fresh output
+        // variable so that downstream constraints stay patch-independent.
+        let out_var = match kind {
+            HoleKind::Cond => None,
+            HoleKind::IntExpr => Some(self.pool.var(&format!("__hole_{obs_idx}"), Sort::Int)),
+        };
+        self.observations.push(HoleObservation {
+            subst: subst_by_name,
+            out_var,
+        });
+        self.pending_obs = Some(obs_idx);
+        let term = match out_var {
+            None => psi,
+            Some(out_var) => {
+                // The defining equation is itself a patch step.
+                let hv = self.pool.var_term(out_var);
+                let eq = self.pool.eq(hv, psi);
+                self.record(eq, true, true);
+                hv
             }
-            let saved = std::mem::replace(&mut st.env, callee_env);
-            let mark = st.declared.len();
-            let flow = exec_stmts(&f.body, st);
-            st.declared.truncate(mark);
-            st.env = saved;
-            match flow? {
-                Flow::Return(v) => Ok(Dual::Int(v)),
-                Flow::Normal => {
-                    let zero = st.pool.int(0);
-                    Ok(Dual::Int(DualInt { c: 0, s: zero }))
-                }
-                Flow::Stop(o) => Err(o),
-            }
-        }
-        Expr::Hole(kind, _, _) => {
-            st.hit_patch = true;
-            let Some(patch) = st.patch else {
-                return Err(Outcome::MissingPatch);
-            };
-            // Snapshot the symbolic environment: this observation is the
-            // first-order encoding of ψ_ρ and lets Reduce re-target the
-            // path at every patch in the pool.
-            let mut subst_by_name: HashMap<String, TermId> = HashMap::new();
-            for (name, slot) in &st.env {
-                let sym = match slot {
-                    Slot::Int { s, .. } | Slot::Bool { s, .. } => *s,
-                    Slot::Array(_) => continue,
-                };
-                subst_by_name.insert(name.clone(), sym);
-            }
+        };
+        Some((concrete, term))
+    }
 
-            // Symbolic value of θ_ρ0 at this point: program variables
-            // replaced by their symbolic values, parameters left free.
-            // Their concrete values drive the concrete evaluation.
-            let mut subst: HashMap<VarId, TermId> = HashMap::new();
-            let mut concrete_vars: Vec<(VarId, Value)> = Vec::new();
-            for (v, name) in &st.theta_vars {
-                let (c, s) = match st.env.get(name) {
-                    Some(Slot::Int { c, s }) => (*c, *s),
-                    Some(Slot::Bool { c, s }) => (i64::from(*c), *s),
-                    Some(Slot::Array(_)) | None => continue,
-                };
-                subst.insert(*v, s);
-                concrete_vars.push((*v, Value::Int(c)));
-            }
-            let psi = st.pool.substitute(patch.theta, &subst);
+    fn assert(&mut self, cond: TermId) {
+        self.asserts.push(cond);
+    }
 
-            // Concrete evaluation: parameters from the representative
-            // binding, program variables from the concrete environment.
-            let concrete = patch.params.eval_overlay(st.pool, patch.theta, |v| {
-                concrete_vars
-                    .iter()
-                    .find(|&&(w, _)| w == v)
-                    .map(|&(_, val)| val)
-            });
-            match kind {
-                HoleKind::Cond => {
-                    let obs_idx = st.observations.len();
-                    st.observations.push(HoleObservation {
-                        subst: subst_by_name,
-                        out_var: None,
-                    });
-                    st.pending_obs = Some(obs_idx);
-                    let c = match concrete {
-                        Value::Bool(b) => b,
-                        Value::Int(v) => v != 0,
-                    };
-                    Ok(Dual::Bool(DualBool { c, s: psi }))
-                }
-                HoleKind::IntExpr => {
-                    // Route the value through a fresh output variable so
-                    // that downstream constraints stay patch-independent.
-                    let obs_idx = st.observations.len();
-                    let out_var = st
-                        .pool
-                        .var(&format!("__hole_{obs_idx}"), cpr_smt::Sort::Int);
-                    st.observations.push(HoleObservation {
-                        subst: subst_by_name,
-                        out_var: Some(out_var),
-                    });
-                    let hv = st.pool.var_term(out_var);
-                    let eq = st.pool.eq(hv, psi);
-                    // The defining equation is itself a patch step.
-                    st.pending_obs = Some(obs_idx);
-                    st.record(eq, true, true);
-                    let c = match concrete {
-                        Value::Int(v) => v,
-                        Value::Bool(b) => i64::from(b),
-                    };
-                    Ok(Dual::Int(DualInt { c, s: hv }))
-                }
-            }
-        }
+    fn bug(&mut self, spec: TermId) {
+        self.sigma = Some(match self.sigma {
+            None => spec,
+            Some(prev) => self.pool.and(prev, spec),
+        });
     }
 }
 
@@ -907,6 +470,114 @@ mod tests {
             m.set(var, *v);
         }
         m
+    }
+
+    /// Runs `src` on `x` with both front ends of the evaluator and checks
+    /// they agree on the outcome, steps and hit counts; returns the
+    /// concolic run with its pool.
+    fn agree_with_interp(src: &str, x: i64) -> (ConcolicResult, TermPool) {
+        let prog = parse(src).unwrap();
+        check(&prog).unwrap();
+        let inputs: HashMap<String, i64> = [("x".to_string(), x)].into_iter().collect();
+        let concrete = Interp::new().run(&prog, &inputs, None);
+        let mut pool = TermPool::new();
+        let model = input_model(&mut pool, &[("x", x)]);
+        let r = ConcolicExecutor::new().execute(&mut pool, &prog, &model, None);
+        assert_eq!(r.outcome, concrete.outcome, "{src}");
+        assert_eq!(r.steps, concrete.steps, "{src}");
+        assert_eq!(r.hit_bug, concrete.bug_hits > 0, "{src}");
+        for step in &r.path {
+            assert!(r.inputs.eval_bool(&pool, step.constraint), "{src}");
+        }
+        (r, pool)
+    }
+
+    #[test]
+    fn or_guard_short_circuits_the_division() {
+        let (r, pool) = agree_with_interp(
+            "program p { input x in [-5, 5];
+               if (x == 0 || 10 / x > 1) { return 1; } return 0; }",
+            0,
+        );
+        assert_eq!(r.outcome, Outcome::Returned(1));
+        // The right operand evaluates without failure symbolically only if
+        // it does concretely; here it would crash, so the branch term is
+        // the left operand's.
+        assert_eq!(pool.display(r.path[0].constraint), "(= x 0)");
+    }
+
+    #[test]
+    fn and_guard_short_circuits_the_index() {
+        let (r, pool) = agree_with_interp(
+            "program p { input x in [0, 9]; var a: int[4];
+               if (x >= 0 && x < 4 && a[x] == 0) { return 1; } return 0; }",
+            7,
+        );
+        assert_eq!(r.outcome, Outcome::Returned(0));
+        // No index pin from the skipped access.
+        let shown: Vec<String> = r.path.iter().map(|s| pool.display(s.constraint)).collect();
+        assert_eq!(shown, vec!["(not (and (>= x 0) (< x 4)))"], "{shown:?}");
+    }
+
+    #[test]
+    fn bug_spec_short_circuits_the_division() {
+        let (r, pool) = agree_with_interp(
+            "program p { input x in [-5, 5];
+               bug b requires (x == 0 || 10 / x > 0); return x; }",
+            0,
+        );
+        assert_eq!(r.outcome, Outcome::Returned(0));
+        assert_eq!(pool.display(r.sigma.unwrap()), "(= x 0)");
+    }
+
+    #[test]
+    fn decided_operand_without_effects_keeps_its_term() {
+        // x = 5 decides the `||`; the right operand reads only inputs and
+        // constants, so its term joins the branch term.
+        let (r, pool) = agree_with_interp(
+            "program p { input x in [0, 9];
+               if (x > 3 || x - 1 > 2) { return 1; } return 0; }",
+            5,
+        );
+        assert_eq!(r.outcome, Outcome::Returned(1));
+        let shown: Vec<String> = r.path.iter().map(|s| pool.display(s.constraint)).collect();
+        assert_eq!(shown, vec!["(or (> x 3) (> (- x 1) 2))"], "{shown:?}");
+    }
+
+    #[test]
+    fn decided_operand_that_indexes_or_calls_leaves_the_left_term() {
+        // At x = 5, `a[x]` reads the constant 7 and `f(x)` returns 10, so
+        // either term would fold the `||` to true and leave no path step,
+        // yet x = 0 takes the else branch: those terms hold only under the
+        // index pin or the callee branch, which the run never makes.
+        for src in [
+            "program p { input x in [0, 9]; var a: int[10]; a[5] = 7;
+               if (x > 3 || a[x] > 2) { return 1; } return 0; }",
+            "program p {
+               fn f(v: int) -> int { if (v > 0) { return 10; } return 0; }
+               input x in [0, 9];
+               if (x > 3 || f(x) > 2) { return 1; } return 0; }",
+        ] {
+            let (r, pool) = agree_with_interp(src, 5);
+            assert_eq!(r.outcome, Outcome::Returned(1), "{src}");
+            let shown: Vec<String> = r.path.iter().map(|s| pool.display(s.constraint)).collect();
+            assert_eq!(shown, vec!["(> x 3)"], "{src}");
+        }
+    }
+
+    #[test]
+    fn roundup_value_matches_its_term() {
+        let (r, pool) = agree_with_interp(
+            "program p { input x in [0, 4];
+               var a: int = x * 4611686018427387904;
+               var r: int = roundup(a, 3);
+               if (r == 9223372036854775806) { return 1; } return 0; }",
+            2,
+        );
+        assert_eq!(r.outcome, Outcome::Returned(1));
+        // The branch term holds under the input: value and term agree.
+        assert!(!r.path.is_empty());
+        assert!(r.inputs.eval_bool(&pool, r.path[0].constraint));
     }
 
     #[test]

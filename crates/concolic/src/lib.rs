@@ -5,7 +5,12 @@
 //! constraint `φ_t`, injects the patch formula `ψ_ρ` when the execution
 //! reaches the patch hole, reports whether the patch and bug locations were
 //! exercised (`hit_patch` / `hit_bug` in the paper's Algorithm 1), and
-//! captures the specification `σ` at the bug location.
+//! captures the specification `σ` at the bug location. The executor is
+//! `cpr-lang`'s evaluator run with a term-building [`Shadow`], so a
+//! concolic run and a [`cpr_lang::Interp`] run of the same program agree on
+//! the outcome, the steps and the hits by construction.
+//!
+//! [`Shadow`]: cpr_lang::Shadow
 //!
 //! [`search`] implements the generational-search input generation of §3.4:
 //! negate every suffix term of the last path constraint, keep a dedup set of

@@ -11,9 +11,13 @@
 //!   with spanned diagnostics,
 //! * a [type checker](check),
 //! * a [pretty printer](pretty) whose output re-parses,
-//! * a sanitizer-style [interpreter](Interp) that detects crashes
-//!   (divide-by-zero, out-of-bounds) and specification violations, and can
-//!   splice a [`ConcretePatch`] into the hole.
+//! * the language's one evaluator, generic over a [`Shadow`] that it tells
+//!   about every value, branch, index pin, hole, assertion and bug location:
+//!   [`Interp`] runs it with a shadow that tracks nothing, as a
+//!   sanitizer-style interpreter that detects crashes (divide-by-zero,
+//!   out-of-bounds) and specification violations and can splice a
+//!   [`ConcretePatch`] into the hole; `cpr-concolic` runs it with a shadow
+//!   that builds terms.
 //!
 //! # Example
 //!
@@ -52,7 +56,7 @@ mod types;
 
 pub use ast::{BinOp, Builtin, Expr, HoleKind, InputDecl, Program, Span, Stmt, Type, UnOp};
 pub use error::{LangError, LangResult};
-pub use interp::{ConcretePatch, CrashKind, Interp, Outcome, RunResult};
+pub use interp::{ConcretePatch, CrashKind, Env, Interp, Outcome, RunResult, Shadow, TermOp};
 pub use lexer::{lex, Tok, Token};
 pub use parser::{parse, parse_expr};
 pub use pretty::{pretty, pretty_expr};

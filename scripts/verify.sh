@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Tier-1 verification: the workspace must build offline (zero external
-# dependencies) and the root package's build + test gate must pass.
+# dependencies), and the release build and every workspace crate's tests
+# must pass.
 # Run from anywhere; operates on the repository root.
 set -eu
 
@@ -26,8 +27,12 @@ fi
 echo "==> tier-1: release build"
 cargo build --release
 
-echo "==> tier-1: tests"
-cargo test -q
+# Every workspace crate's unit and integration tests, including the serve
+# subsystem's (epoll loop, sharded scheduler, framing, admission, loopback
+# smoke tests with the stats verb and metrics allowlist) and the
+# continuous-repair TCP loopback test.
+echo "==> tier-1: tests (every workspace crate)"
+cargo test -q --workspace
 
 echo "==> end-to-end golden identity: one bench_e2e pass each of paper_serial and explore_deep"
 # Each pass checks every subject's report against bench_e2e/golden/ and
@@ -51,12 +56,6 @@ for fixture in div_zero:possible-division-by-zero index_oob:possible-index-out-o
     exit 1
   }
 done
-
-echo "==> serve subsystem: unit tests (epoll loop, sharded scheduler, framing, admission)"
-cargo test -q --release -p cpr-serve --lib
-
-echo "==> serve subsystem: loopback server smoke tests (incl. stats verb + metrics allowlist)"
-cargo test -q --release -p cpr-serve --test server_smoke
 
 echo "==> serve subsystem: bench_serve --check (report identity, no timings)"
 cargo run --release -q -p cpr-serve --bin bench_serve -- --check
@@ -89,8 +88,5 @@ cargo run --release -q -p cpr-bench --bin bench_cache -- --check
 
 echo "==> continuous repair: bench_fuzz --check (campaign determinism + three-way injection identity)"
 cargo run --release -q -p cpr-bench --bin bench_fuzz -- --check
-
-echo "==> continuous repair: E2E loopback (fuzz findings streamed over TCP match an upfront run)"
-cargo test -q --release --test continuous_repair
 
 echo "verify: OK"

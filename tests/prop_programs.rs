@@ -1,22 +1,28 @@
 //! Property-based differential testing over *randomly generated programs*:
 //!
 //! * the concrete interpreter and the concolic executor agree on the
-//!   outcome of every run,
-//! * every recorded path constraint is satisfied by the input that
-//!   produced it,
+//!   outcome, the steps, and the patch and bug hits of every run,
+//! * every recorded path constraint is satisfied by the input (and patch
+//!   parameters) that produced it, and a captured `σ` by the verdict,
 //! * pretty-printing a generated program round-trips through the parser.
 //!
 //! Programs are generated from a recipe (indices resolved modulo the set of
-//! in-scope variables), which keeps them well-typed by construction. The
-//! recipes themselves are drawn from the dependency-free xorshift64*
-//! generator in `cpr_fuzz::rng`; each case's seed is printed on failure so
-//! counterexamples are reproducible.
+//! in-scope variables), which keeps them well-typed by construction.
+//! Conditions mix comparisons with `&&`, `||` and `!`, including the guard
+//! idiom `v != 0 && e / v > f`; expressions include the builtins and, now
+//! and then, a constant large enough to saturate; some programs carry a
+//! bug location and a patch hole. The recipes themselves are drawn from the
+//! dependency-free xorshift64* generator in `cpr_fuzz::rng`; each case's
+//! seed is printed on failure so counterexamples are reproducible.
 
 use std::collections::HashMap;
 
-use cpr_concolic::ConcolicExecutor;
+use cpr_concolic::{ConcolicExecutor, HolePatch};
 use cpr_fuzz::rng::XorShiftRng;
-use cpr_lang::{ast::Span, check, parse, pretty, BinOp, Expr, Interp, Program, Stmt, Type};
+use cpr_lang::{
+    ast::Span, check, parse, pretty, BinOp, Builtin, ConcretePatch, Expr, HoleKind, Interp,
+    Outcome, Program, Stmt, Type, UnOp,
+};
 use cpr_smt::{Model, Sort, TermPool};
 
 #[derive(Debug, Clone)]
@@ -24,11 +30,27 @@ enum ExprRecipe {
     Var(u8),
     Const(i64),
     Bin(u8, Box<ExprRecipe>, Box<ExprRecipe>),
+    /// `min`, `max`, `abs` (of the first argument) or `roundup`.
+    Call(u8, Box<ExprRecipe>, Box<ExprRecipe>),
 }
 
 #[derive(Debug, Clone)]
 enum CondRecipe {
     Cmp(u8, ExprRecipe, ExprRecipe),
+    Not(Box<CondRecipe>),
+    And(Box<CondRecipe>, Box<CondRecipe>),
+    Or(Box<CondRecipe>, Box<CondRecipe>),
+    /// The guard idiom over variable `v`: `v != 0 && (e op v) cmp f` when
+    /// the flag is set, `v == 0 || (e op v) cmp f` otherwise, with `op`
+    /// `/` or `%`.
+    Guarded {
+        and: bool,
+        var: u8,
+        rem: bool,
+        num: ExprRecipe,
+        cmp: u8,
+        rhs: ExprRecipe,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -38,26 +60,62 @@ enum StmtRecipe {
     If(CondRecipe, Vec<StmtRecipe>, Vec<StmtRecipe>),
     CountedLoop(u8, Vec<StmtRecipe>),
     Return(ExprRecipe),
+    /// `bug b requires (cond);`
+    Bug(CondRecipe),
+    /// `if (hole) { return e; }`, the hole alone (form 0) or behind a
+    /// condition with `&&` (1) or `||` (2).
+    Hole(u8, CondRecipe, ExprRecipe),
 }
 
 fn gen_expr(rng: &mut XorShiftRng, depth: u32) -> ExprRecipe {
     if depth == 0 || rng.gen_index(5) < 2 {
         if rng.gen_bool() {
             ExprRecipe::Var(rng.gen_index(8) as u8)
+        } else if rng.gen_index(8) == 0 {
+            // Large enough that products and sums saturate.
+            ExprRecipe::Const(if rng.gen_bool() { 1 << 62 } else { -(1 << 62) })
         } else {
             ExprRecipe::Const(rng.gen_range_i64(-5, 5))
         }
     } else {
-        ExprRecipe::Bin(
-            rng.gen_index(5) as u8,
-            Box::new(gen_expr(rng, depth - 1)),
-            Box::new(gen_expr(rng, depth - 1)),
-        )
+        let kind = rng.gen_index(6) as u8;
+        let a = Box::new(gen_expr(rng, depth - 1));
+        let b = Box::new(gen_expr(rng, depth - 1));
+        if kind == 5 {
+            ExprRecipe::Call(rng.gen_index(4) as u8, a, b)
+        } else {
+            ExprRecipe::Bin(kind, a, b)
+        }
     }
 }
 
-fn gen_cond(rng: &mut XorShiftRng) -> CondRecipe {
-    CondRecipe::Cmp(rng.gen_index(6) as u8, gen_expr(rng, 3), gen_expr(rng, 3))
+fn gen_cond(rng: &mut XorShiftRng, depth: u32) -> CondRecipe {
+    let cmp = |rng: &mut XorShiftRng| {
+        CondRecipe::Cmp(rng.gen_index(6) as u8, gen_expr(rng, 3), gen_expr(rng, 3))
+    };
+    if depth == 0 {
+        return cmp(rng);
+    }
+    match rng.gen_index(8) {
+        0..=2 => cmp(rng),
+        3 => CondRecipe::Not(Box::new(gen_cond(rng, depth - 1))),
+        4 => CondRecipe::And(
+            Box::new(gen_cond(rng, depth - 1)),
+            Box::new(gen_cond(rng, depth - 1)),
+        ),
+        5 => CondRecipe::Or(
+            Box::new(gen_cond(rng, depth - 1)),
+            Box::new(gen_cond(rng, depth - 1)),
+        ),
+        _ => CondRecipe::Guarded {
+            and: rng.gen_bool(),
+            var: rng.gen_index(8) as u8,
+            rem: rng.gen_bool(),
+            num: gen_expr(rng, 2),
+            cmp: rng.gen_index(6) as u8,
+            rhs: gen_expr(rng, 1),
+        },
+    }
 }
 
 fn gen_stmts(rng: &mut XorShiftRng, depth: u32, lo: usize, hi: usize) -> Vec<StmtRecipe> {
@@ -79,7 +137,7 @@ fn gen_stmt(rng: &mut XorShiftRng, depth: u32) -> StmtRecipe {
         0..=2 => StmtRecipe::Decl(gen_expr(rng, 3)),
         3..=5 => StmtRecipe::Assign(rng.gen_index(8) as u8, gen_expr(rng, 3)),
         6 | 7 => StmtRecipe::If(
-            gen_cond(rng),
+            gen_cond(rng, 2),
             gen_stmts(rng, depth - 1, 0, 2),
             gen_stmts(rng, depth - 1, 0, 2),
         ),
@@ -91,12 +149,27 @@ fn gen_stmt(rng: &mut XorShiftRng, depth: u32) -> StmtRecipe {
     }
 }
 
-fn gen_program(rng: &mut XorShiftRng) -> (Program, u32) {
-    let stmts = gen_stmts(rng, 2, 1, 5);
+/// A generated program with its input count and the parameter value of
+/// the patch that fills its hole, if it has one.
+fn gen_program(rng: &mut XorShiftRng) -> (Program, u32, i64) {
+    let mut stmts = gen_stmts(rng, 2, 1, 5);
+    // At most one bug location and one hole, both at the top level, so
+    // neither sits in a loop.
+    if rng.gen_index(3) == 0 {
+        let at = rng.gen_index(stmts.len() + 1);
+        stmts.insert(at, StmtRecipe::Bug(gen_cond(rng, 1)));
+    }
+    if rng.gen_index(3) == 0 {
+        let at = rng.gen_index(stmts.len() + 1);
+        let hole = StmtRecipe::Hole(rng.gen_index(3) as u8, gen_cond(rng, 1), gen_expr(rng, 2));
+        stmts.insert(at, hole);
+    }
+    let param = rng.gen_range_i64(-8, 8);
     let ret = gen_expr(rng, 3);
     let n_inputs = rng.gen_range_i64(2, 3) as u8;
     let mut b = Builder {
         vars: (0..n_inputs).map(|i| format!("in{i}")).collect(),
+        n_inputs: n_inputs as usize,
         counter: 0,
         loop_counter: 0,
     };
@@ -118,11 +191,12 @@ fn gen_program(rng: &mut XorShiftRng) -> (Program, u32) {
             .collect(),
         body,
     };
-    (program, n_inputs as u32)
+    (program, n_inputs as u32, param)
 }
 
 struct Builder {
     vars: Vec<String>,
+    n_inputs: usize,
     counter: usize,
     loop_counter: usize,
 }
@@ -130,40 +204,69 @@ struct Builder {
 impl Builder {
     fn expr(&self, r: &ExprRecipe) -> Expr {
         match r {
-            ExprRecipe::Var(i) => Expr::Var(
-                self.vars[*i as usize % self.vars.len()].clone(),
-                Span::default(),
-            ),
+            ExprRecipe::Var(i) => self.var(*i),
             ExprRecipe::Const(c) => Expr::Int(*c, Span::default()),
             ExprRecipe::Bin(op, a, b) => {
                 let op =
                     [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Rem][*op as usize % 5];
-                Expr::Binary(
-                    op,
-                    Box::new(self.expr(a)),
-                    Box::new(self.expr(b)),
-                    Span::default(),
-                )
+                bin(op, self.expr(a), self.expr(b))
+            }
+            ExprRecipe::Call(f, a, b) => {
+                let f =
+                    [Builtin::Min, Builtin::Max, Builtin::Abs, Builtin::Roundup][*f as usize % 4];
+                let mut args = vec![self.expr(a)];
+                if f != Builtin::Abs {
+                    args.push(self.expr(b));
+                }
+                Expr::Call(f, args, Span::default())
             }
         }
     }
 
+    fn var(&self, i: u8) -> Expr {
+        Expr::Var(
+            self.vars[i as usize % self.vars.len()].clone(),
+            Span::default(),
+        )
+    }
+
     fn cond(&self, r: &CondRecipe) -> Expr {
-        let CondRecipe::Cmp(op, a, b) = r;
-        let op = [
+        const CMP: [BinOp; 6] = [
             BinOp::Eq,
             BinOp::Ne,
             BinOp::Lt,
             BinOp::Le,
             BinOp::Gt,
             BinOp::Ge,
-        ][*op as usize % 6];
-        Expr::Binary(
-            op,
-            Box::new(self.expr(a)),
-            Box::new(self.expr(b)),
-            Span::default(),
-        )
+        ];
+        match r {
+            CondRecipe::Cmp(op, a, b) => bin(CMP[*op as usize % 6], self.expr(a), self.expr(b)),
+            CondRecipe::Not(c) => Expr::Unary(UnOp::Not, Box::new(self.cond(c)), Span::default()),
+            CondRecipe::And(a, b) => bin(BinOp::And, self.cond(a), self.cond(b)),
+            CondRecipe::Or(a, b) => bin(BinOp::Or, self.cond(a), self.cond(b)),
+            CondRecipe::Guarded {
+                and,
+                var,
+                rem,
+                num,
+                cmp,
+                rhs,
+            } => {
+                let zero = Expr::Int(0, Span::default());
+                let (test, join) = if *and {
+                    (BinOp::Ne, BinOp::And)
+                } else {
+                    (BinOp::Eq, BinOp::Or)
+                };
+                let op = if *rem { BinOp::Rem } else { BinOp::Div };
+                let guarded = bin(
+                    CMP[*cmp as usize % 6],
+                    bin(op, self.expr(num), self.var(*var)),
+                    self.expr(rhs),
+                );
+                bin(join, bin(test, self.var(*var), zero), guarded)
+            }
+        }
     }
 
     fn stmt(&mut self, r: &StmtRecipe) -> Stmt {
@@ -251,8 +354,35 @@ impl Builder {
                 value: self.expr(e),
                 span: Span::default(),
             },
+            StmtRecipe::Bug(c) => Stmt::Bug {
+                name: "b".into(),
+                spec: self.cond(c),
+                span: Span::default(),
+            },
+            StmtRecipe::Hole(form, c, e) => {
+                let args = self.vars[..self.n_inputs].to_vec();
+                let hole = Expr::Hole(HoleKind::Cond, args, Span::default());
+                let cond = match form % 3 {
+                    0 => hole,
+                    1 => bin(BinOp::And, self.cond(c), hole),
+                    _ => bin(BinOp::Or, self.cond(c), hole),
+                };
+                Stmt::If {
+                    cond,
+                    then_body: vec![Stmt::Return {
+                        value: self.expr(e),
+                        span: Span::default(),
+                    }],
+                    else_body: Vec::new(),
+                    span: Span::default(),
+                }
+            }
         }
     }
+}
+
+fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
+    Expr::Binary(op, Box::new(a), Box::new(b), Span::default())
 }
 
 #[test]
@@ -260,7 +390,7 @@ fn interpreter_and_concolic_agree_on_random_programs() {
     let mut exercised = 0u32;
     for case in 0..160u64 {
         let mut rng = XorShiftRng::seed_from_u64(0x9806 + case);
-        let (program, n_inputs) = gen_program(&mut rng);
+        let (program, n_inputs, param) = gen_program(&mut rng);
         let seed: Vec<i64> = (0..3).map(|_| rng.gen_range_i64(-8, 8)).collect();
         if check(&program).is_err() {
             continue;
@@ -270,18 +400,39 @@ fn interpreter_and_concolic_agree_on_random_programs() {
             .map(|i| (format!("in{i}"), seed[i.min(seed.len() - 1)]))
             .collect();
 
+        // The patch for a hole: `in0 >= a` with parameter a = `param`.
+        let mut pool = TermPool::new();
+        let in0 = pool.named_var("in0", Sort::Int);
+        let a = pool.var("a", Sort::Int);
+        let a_term = pool.var_term(a);
+        let theta = pool.ge(in0, a_term);
+        let mut params = Model::new();
+        params.set(a, param);
+
         // Concrete interpreter.
-        let concrete = Interp::with_max_steps(20_000).run(&program, &inputs, None);
+        let patch = ConcretePatch {
+            pool: &pool,
+            expr: theta,
+            binding: params.clone(),
+        };
+        let concrete = Interp::with_max_steps(20_000).run(&program, &inputs, Some(&patch));
 
         // Concolic executor.
-        let mut pool = TermPool::new();
         let mut model = Model::new();
         for (name, v) in &inputs {
             let var = pool.var(name, Sort::Int);
             model.set(var, *v);
         }
-        let run =
-            ConcolicExecutor::with_budgets(20_000, 512).execute(&mut pool, &program, &model, None);
+        let hole = HolePatch {
+            theta,
+            params: params.clone(),
+        };
+        let run = ConcolicExecutor::with_budgets(20_000, 512).execute(
+            &mut pool,
+            &program,
+            &model,
+            Some(&hole),
+        );
 
         assert_eq!(
             &run.outcome,
@@ -290,13 +441,28 @@ fn interpreter_and_concolic_agree_on_random_programs() {
             pretty(&program)
         );
         assert_eq!(run.hit_bug, concrete.bug_hits > 0, "case {case}");
+        assert_eq!(run.hit_patch, concrete.patch_hits > 0, "case {case}");
+        assert_eq!(run.steps, concrete.steps, "case {case}");
 
-        // Every recorded path step holds under the producing input.
+        // Every recorded path step holds under the producing input and
+        // patch parameters, and σ holds exactly when it was not violated.
+        let mut producing = run.inputs.clone();
+        producing.set(a, param);
         for step in &run.path {
             assert!(
-                run.inputs.eval_bool(&pool, step.constraint),
-                "case {case}: unsatisfied path step {}",
-                pool.display(step.constraint)
+                producing.eval_bool(&pool, step.constraint),
+                "case {case}: unsatisfied path step {}\n{}",
+                pool.display(step.constraint),
+                pretty(&program)
+            );
+        }
+        if let Some(sigma) = run.sigma {
+            assert_eq!(
+                producing.eval_bool(&pool, sigma),
+                !matches!(run.outcome, Outcome::SpecViolated { .. }),
+                "case {case}: σ {} disagrees with the verdict\n{}",
+                pool.display(sigma),
+                pretty(&program)
             );
         }
     }
@@ -380,7 +546,7 @@ fn pretty_print_roundtrips_random_programs() {
     let mut exercised = 0u32;
     for case in 0..160u64 {
         let mut rng = XorShiftRng::seed_from_u64(0x9906 + case);
-        let (program, _) = gen_program(&mut rng);
+        let (program, ..) = gen_program(&mut rng);
         if check(&program).is_err() {
             continue;
         }
